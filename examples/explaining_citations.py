@@ -48,7 +48,7 @@ def main() -> None:
 
     # -- 3. rewriting cache ----------------------------------------------
     print("\n== rewriting cache (Section 4: caching) ==")
-    cached = CitationEngine(db, registry, cache_rewritings=True)
+    cached = CitationEngine(db, registry)  # rewrites through its cache
     template = 'Q(N) :- Family(F, N, Ty), Ty = "{}"'
 
     start = time.perf_counter()

@@ -8,14 +8,17 @@ fail CI before they ever run:
 ========  ==========================================================
 RL101     engine/database mutation awaited directly in ``service/``
           async code instead of queued as an engine-lane job
-RL102     cache-named dict attribute constructed without a bound
-          (no ``*max*`` sibling attribute in the class)
+RL102     cache- or memo-named attribute built as a plain dict
+          instead of a :class:`~repro.util.lru.VersionedLRU`
 RL103     lane submission / async engine call whose result is
           discarded (missing ``await`` — the job outcome is lost)
 RL104     shard-internal attribute (``_rows``, ``_shards``, index
           structures…) accessed outside the ``relational/`` layer
 RL105     bare ``except:``, or a broad ``except`` that only ``pass``es
           (silently swallowing engine failures)
+RL106     ``Lock()``/``RLock()`` constructed in the ``repro`` package
+          outside the sanitizer (the engine lane is the one
+          serialization point)
 ========  ==========================================================
 
 Run it with ``tools/run_repro_lint.py <paths>`` (the CI lint job does,

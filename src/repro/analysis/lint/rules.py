@@ -34,8 +34,6 @@ ENGINE_RECEIVERS = frozenset({"engine", "db", "database"})
 MUST_USE_NAMES = frozenset({
     "submit",
     "submit_cite",
-    "acite_batch",
-    "acite_union",
     "wait_bounded",
 })
 
@@ -53,6 +51,10 @@ SHARD_INTERNAL_NAMES = frozenset({
 
 #: Attribute-name fragments that mark a dict as a cache (RL102).
 CACHE_NAME_FRAGMENTS = ("cache", "memo")
+
+#: Lock constructors (RL106); inside the ``repro`` package only the
+#: sanitizer may build one.
+LOCK_NAMES = frozenset({"Lock", "RLock"})
 
 
 @dataclass(frozen=True)
@@ -79,6 +81,15 @@ def _receiver_names(node: ast.expr) -> set[str]:
     return names
 
 
+def _called_name(func: ast.expr) -> str | None:
+    """``f`` for calls of ``f(...)`` and ``m.f(...)``."""
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    if isinstance(func, ast.Name):
+        return func.id
+    return None
+
+
 def _is_dict_constructor(node: ast.expr) -> bool:
     if isinstance(node, ast.Dict) and not node.keys:
         return True
@@ -94,6 +105,7 @@ class _FileLinter(ast.NodeVisitor):
         #: Stack of enclosing function nodes (innermost last).
         self._functions: list[ast.AST] = []
         self._in_service = "service" in path.parts
+        self._in_package = "repro" in path.parts[:-1]
 
     def _flag(self, code: str, message: str, node: ast.AST) -> None:
         self.findings.append(
@@ -131,46 +143,53 @@ class _FileLinter(ast.NodeVisitor):
                 "`lane.submit`) so writes stay serialized with reads",
                 node,
             )
+        if (
+            self._in_package
+            and self.path.name != "sanitizer.py"
+            and _called_name(node.func) in LOCK_NAMES
+        ):
+            self._flag(
+                "RL106",
+                f"`{_called_name(node.func)}()` constructed; the engine "
+                "lane is the one serialization point for engine state, "
+                "so code outside the sanitizer holds no locks",
+                node,
+            )
         self.generic_visit(node)
 
-    # -- RL102: unbounded cache construction --------------------------------
+    # -- RL102: hand-rolled cache construction ------------------------------
 
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        cache_assigns: list[tuple[str, ast.AST]] = []
-        has_bound = False
-        for statement in ast.walk(node):
-            targets: list[ast.expr] = []
-            value: ast.expr | None = None
-            if isinstance(statement, ast.Assign):
-                targets, value = statement.targets, statement.value
-            elif isinstance(statement, ast.AnnAssign):
-                targets, value = [statement.target], statement.value
-            for target in targets:
-                if not (
-                    isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "self"
-                ):
-                    continue
-                name = target.attr.lower()
-                if "max" in name:
-                    has_bound = True
-                elif (
-                    any(part in name for part in CACHE_NAME_FRAGMENTS)
-                    and value is not None
-                    and _is_dict_constructor(value)
-                ):
-                    cache_assigns.append((target.attr, statement))
-        if not has_bound:
-            for name, statement in cache_assigns:
+    def _check_cache_assign(
+        self, targets: list[ast.expr], value: ast.expr | None,
+        node: ast.AST,
+    ) -> None:
+        if value is None or not _is_dict_constructor(value):
+            return
+        for target in targets:
+            if (
+                isinstance(target, ast.Attribute)
+                and isinstance(target.value, ast.Name)
+                and target.value.id == "self"
+                and any(
+                    part in target.attr.lower()
+                    for part in CACHE_NAME_FRAGMENTS
+                )
+            ):
                 self._flag(
                     "RL102",
-                    f"cache attribute `{name}` constructed without any "
-                    "`*max*` bound in the class; long-lived engines "
-                    "must not accumulate cache entries without limit "
-                    "(see repro.util.lru)",
-                    statement,
+                    f"cache attribute `{target.attr}` built as a plain "
+                    "dict; construct it as a repro.util.lru.VersionedLRU "
+                    "so its bound, version checks, counters and the "
+                    "sanitizer's stale-cache hook are the shared ones",
+                    node,
                 )
+
+    def visit_Assign(self, node: ast.Assign) -> None:
+        self._check_cache_assign(node.targets, node.value, node)
+        self.generic_visit(node)
+
+    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
+        self._check_cache_assign([node.target], node.value, node)
         self.generic_visit(node)
 
     # -- RL103: discarded lane submissions ----------------------------------

@@ -45,9 +45,11 @@ shard fan-out
     database's shards/indexes) **no** thread may mutate it, not even
     the serial parent.
 version-keyed caches
-    :func:`check_cache_serve` re-validates, independently of the
-    cache's own check, that a served entry's ``stats_version`` tag and
-    content fingerprint match the live database — and that the live
+    :func:`check_cache_serve` — called from the one cache primitive,
+    :meth:`repro.util.lru.VersionedLRU.get` — re-validates,
+    independently of the cache's own check, that a served entry's
+    ``stats_version`` tag and content fingerprint match the live
+    database — and that the live
     ``stats_version`` agrees with the sanitizer's own shadow count of
     effective mutations (:func:`note_effective_mutations`), so a
     mutation path that forgets to bump the version is caught at the
@@ -317,7 +319,7 @@ def execution_region(obj: Any) -> Iterator[None]:
                 "execution-affinity",
                 f"two threads are evaluating over {_describe(obj)} "
                 "concurrently; engine access must be serialized "
-                "(the engine lane, or the engine's execution lock)",
+                "through the engine lane",
                 region.stack,
             )
         if region is not None:

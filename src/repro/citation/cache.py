@@ -7,7 +7,8 @@ up to variable renaming share the same rewritings modulo that renaming.
 :class:`CachedRewritingEngine` canonicalizes queries (deterministic
 variable renaming) and memoizes the enumeration, so repeated or
 template-shaped workloads (the common case for repository front-ends) pay
-the Def 2.2 search once.
+the Def 2.2 search once.  Every
+:class:`~repro.citation.generator.CitationEngine` rewrites through one.
 
 Note constants are part of the structure: ``Ty = "gpcr"`` and
 ``Ty = "vgic"`` cache separately (their absorbed λ-values differ).  A
@@ -17,13 +18,11 @@ we keep the sound per-structure cache.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 from repro.cq.canonical import canonical_key
 from repro.cq.query import ConjunctiveQuery
 from repro.rewriting.engine import RewritingEngine
 from repro.rewriting.rewriting import Rewriting
-from repro.util.lru import check_max_entries, evict_lru
+from repro.util.lru import VersionedLRU
 from repro.views.registry import ViewRegistry
 
 __all__ = ["CachedRewritingEngine", "cached_engine", "canonical_key"]
@@ -38,7 +37,7 @@ __all__ = ["CachedRewritingEngine", "cached_engine", "canonical_key"]
 DEFAULT_MAX_ENTRIES = 4096
 
 
-class CachedRewritingEngine:
+class CachedRewritingEngine(VersionedLRU[str, list[Rewriting]]):
     """A memoizing wrapper around :class:`RewritingEngine`.
 
     The cache is keyed by :func:`canonical_key`; cached rewritings are
@@ -48,44 +47,25 @@ class CachedRewritingEngine:
     the rewriting's query rather than the original's variable names,
     which :class:`~repro.citation.generator.CitationEngine` does.
 
-    The cache is LRU-bounded by ``max_entries``: under traffic with
-    millions of distinct query structures the least recently used
-    entries are evicted (counted in :attr:`evictions`) instead of the
-    cache growing without bound.
+    Rewritings depend only on the (static) view registry, so entries
+    carry no version tags; the LRU bound (``max_entries``) keeps traffic
+    with millions of distinct query structures from growing the cache
+    without limit.
     """
 
     def __init__(
         self, engine: RewritingEngine, max_entries: int = DEFAULT_MAX_ENTRIES
     ) -> None:
+        super().__init__(max_entries, "rewriting cache")
         self.engine = engine
-        self.max_entries = check_max_entries(max_entries)
-        self._cache: OrderedDict[str, list[Rewriting]] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
 
     def rewrite(self, query: ConjunctiveQuery) -> list[Rewriting]:
         key = canonical_key(query)
-        cached = self._cache.get(key)
-        if cached is not None:
-            self.hits += 1
-            self._cache.move_to_end(key)
-            return cached
-        self.misses += 1
-        rewritings = self.engine.rewrite(query)
-        self._cache[key] = rewritings
-        self.evictions += evict_lru(self._cache, self.max_entries)
+        rewritings = self.get(key)
+        if rewritings is None:
+            rewritings = self.engine.rewrite(query)
+            self.put(key, rewritings)
         return rewritings
-
-    def clear(self) -> None:
-        self._cache.clear()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    @property
-    def size(self) -> int:
-        return len(self._cache)
 
 
 def cached_engine(

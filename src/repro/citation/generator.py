@@ -18,12 +18,12 @@ The :class:`CitationEngine` pipeline:
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any
 
 from repro.analysis.sanitizer import set_sanitize
+from repro.citation.cache import CachedRewritingEngine
 from repro.citation.combiners import with_neutral
 from repro.citation.order import absorbing_sum, best_polynomials, normal_form
 from repro.citation.policy import CitationPolicy, focused_policy
@@ -49,6 +49,7 @@ from repro.relational.database import Database
 from repro.rewriting.engine import RewritingEngine
 from repro.rewriting.rewriting import Rewriting
 from repro.semiring.polynomial import ProvenanceMonomial, ProvenancePolynomial
+from repro.util.lru import VersionedLRU
 from repro.views.registry import ViewRegistry
 
 Record = dict[str, Any]
@@ -141,7 +142,10 @@ class CitationEngine:
         The Agg neutral element records; defaults to a record built from
         the ``MetaData`` relation when present.
     include_partial / validate / max_rewritings:
-        Passed to the :class:`~repro.rewriting.engine.RewritingEngine`.
+        Passed to the :class:`~repro.rewriting.engine.RewritingEngine`,
+        which every query reaches through a
+        :class:`~repro.citation.cache.CachedRewritingEngine` (Def 2.2
+        enumeration memoized per α-equivalence class).
     parallelism / use_processes:
         Worker count (and thread/process choice) for the shard-and-merge
         executor (:mod:`repro.cq.parallel`) used by every rewriting
@@ -193,7 +197,6 @@ class CitationEngine:
         include_partial: bool = True,
         validate: bool = True,
         max_rewritings: int | None = None,
-        cache_rewritings: bool = False,
         parallelism: int = 1,
         use_processes: bool = False,
         shards: int | None = None,
@@ -210,17 +213,12 @@ class CitationEngine:
             db.reshard(shards)
         self.registry = registry
         self.policy = policy or focused_policy(registry)
-        engine = RewritingEngine(
+        self.rewriting_engine = CachedRewritingEngine(RewritingEngine(
             registry,
             include_partial=include_partial,
             validate=validate,
             max_rewritings=max_rewritings,
-        )
-        if cache_rewritings:
-            from repro.citation.cache import CachedRewritingEngine
-            self.rewriting_engine: Any = CachedRewritingEngine(engine)
-        else:
-            self.rewriting_engine = engine
+        ))
         if database_citation is None:
             database_citation = _default_database_citation(db)
         self.database_citation = database_citation
@@ -237,14 +235,12 @@ class CitationEngine:
         self.parallelism = parallelism
         self.use_processes = use_processes
         self._virtual: IndexedVirtualRelations | None = None
-        self._record_cache: dict[CitationToken, Record] = {}
-        self._record_cache_max = 4096
-        # Serializes the async entry points (acite_batch/acite_union):
-        # the engine and its caches are not thread-safe, so concurrent
-        # awaiters take turns on the engine while the event loop stays
-        # free.  Reentrant because cite_union batches through the same
-        # pipeline internally.
-        self._exec_lock = threading.RLock()
+        #: Rendered citation records per token, tagged with the
+        #: ``stats_version`` they were rendered at (view citation
+        #: functions query the data, so a mutation makes them stale).
+        self.record_cache: VersionedLRU[CitationToken, Record] = (
+            VersionedLRU(4096, "record cache")
+        )
 
     @property
     def shards(self) -> int:
@@ -254,9 +250,9 @@ class CitationEngine:
     # ------------------------------------------------------------------
 
     def refresh(self) -> None:
-        """Drop materialized views and cached records after DB updates."""
+        """Drop materialized views and every data-derived cache."""
         self._virtual = None
-        self._record_cache.clear()
+        self.record_cache.clear()
         self.planner.clear()
         self.subplan_memo.clear()
 
@@ -264,17 +260,16 @@ class CitationEngine:
         """Graceful invalidation after database mutations.
 
         Unlike :meth:`refresh` — which drops *everything* — this keeps
-        the version-aware caches warm: the plan cache and the sub-plan
-        memo key their entries on
+        the caches: the plan cache, the sub-plan memo and the record
+        cache tag their entries with
         :attr:`~repro.relational.database.Database.stats_version` (and
         virtual-content fingerprints), so the mutation's version bump
-        already makes them refuse stale entries lazily.  Only state
-        derived from the data with no version tag is dropped — the
-        materialized-view relations and the rendered-record cache.  The
-        citation service calls this after every ``/insert``/``/delete``.
+        already makes them refuse stale entries lazily.  Only the
+        materialized-view relations, which carry no version tag, are
+        dropped.  The citation service calls this after every
+        ``/insert``/``/delete``.
         """
         self._virtual = None
-        self._record_cache.clear()
 
     def materialized_views(self) -> IndexedVirtualRelations:
         """The (lazily built) indexed materialization of the registry.
@@ -284,71 +279,6 @@ class CitationEngine:
         endpoint shares plan-cache entries with ``/cite`` through it).
         """
         return self._materialized()
-
-    # ------------------------------------------------------------------
-    # async-safe entry points
-    # ------------------------------------------------------------------
-
-    def locked_call(self, fn: Any, *args: Any, **kwargs: Any) -> Any:
-        """Run ``fn`` holding the engine's execution lock.
-
-        The building block of the async entry points: anything that
-        touches the engine off the event loop (a mutation job, a batch)
-        can route through here to serialize with concurrent
-        :meth:`acite_batch`/:meth:`acite_union` calls.
-        """
-        with self._exec_lock:
-            return fn(*args, **kwargs)
-
-    async def acite_batch(
-        self,
-        queries: "Sequence[ConjunctiveQuery | str]",
-        parallelism: int | None = None,
-        use_processes: bool | None = None,
-        shards: int | None = None,
-    ) -> list[CitationResult]:
-        """Async-safe :meth:`cite_batch`: awaitable from an event loop.
-
-        The batch runs on a worker thread (:func:`asyncio.to_thread`)
-        under the engine's execution lock, so the loop keeps serving
-        while the engine computes and concurrent awaiters never
-        interleave engine state.  This is the entry point the service's
-        micro-batcher drives; results are identical to
-        :meth:`cite_batch`.
-        """
-        import asyncio
-
-        return await asyncio.to_thread(
-            self.locked_call, self.cite_batch, queries,
-            parallelism, use_processes, shards,
-        )
-
-    async def acite_union(self, union: "UnionQuery | str") -> CitationResult:
-        """Async-safe :meth:`cite_union` (same contract as
-        :meth:`acite_batch`)."""
-        import asyncio
-
-        return await asyncio.to_thread(
-            self.locked_call, self.cite_union, union
-        )
-
-    def ensure_rewriting_cache(self) -> Any:
-        """Upgrade to a memoizing rewriting engine (idempotent).
-
-        :meth:`cite_batch` performs this upgrade transparently; callers
-        that account for cache effectiveness
-        (:func:`repro.workload.runner.run_workload`) invoke it *before*
-        snapshotting counters, so before/after always read from the
-        engine actually used.  Returns the (possibly pre-existing)
-        :class:`~repro.citation.cache.CachedRewritingEngine`.
-        """
-        from repro.citation.cache import CachedRewritingEngine
-
-        if not isinstance(self.rewriting_engine, CachedRewritingEngine):
-            self.rewriting_engine = CachedRewritingEngine(
-                self.rewriting_engine
-            )
-        return self.rewriting_engine
 
     def _materialized(self) -> IndexedVirtualRelations:
         if self._virtual is None:
@@ -441,7 +371,8 @@ class CitationEngine:
     # ------------------------------------------------------------------
 
     def _token_record(self, token: CitationToken) -> Record:
-        cached = self._record_cache.get(token)
+        version = self.db.stats_version
+        cached = self.record_cache.get(token, self.db, version)
         if cached is not None:
             return cached
         if isinstance(token, ViewCitationToken):
@@ -453,12 +384,7 @@ class CitationEngine:
             record = {"Relation": token.relation}
         else:  # pragma: no cover - no other token kinds exist
             record = {"Token": repr(token)}
-        self._record_cache[token] = record
-        if len(self._record_cache) > self._record_cache_max:
-            # FIFO bound: distinct tokens grow with the view registry
-            # and parameter space, so a long-lived service engine must
-            # not accumulate rendered records without limit.
-            self._record_cache.pop(next(iter(self._record_cache)))
+        self.record_cache.put(token, record, self.db, version)
         return record
 
     def _monomial_records(self, monomial: CitationMonomial) -> list[Record]:
@@ -583,11 +509,8 @@ class CitationEngine:
         This is the repository-front-end entry point: repeated or
         template-shaped traffic pays each expensive step once —
 
-        - rewriting enumeration is memoized per α-equivalence class (the
-          engine is upgraded to a
-          :class:`~repro.citation.cache.CachedRewritingEngine` if it is
-          not one already; the upgrade is transparent and persists, so a
-          follow-up batch starts warm);
+        - rewriting enumeration is memoized per α-equivalence class
+          (:attr:`rewriting_engine`, so a follow-up batch starts warm);
         - query plans are shared through :attr:`planner`;
         - views are materialized once up front, and their hash indexes
           accumulate across the batch.
@@ -600,8 +523,7 @@ class CitationEngine:
             When given, sets the engine's shard-and-merge worker count
             (:mod:`repro.cq.parallel`) for this and later batches; every
             rewriting evaluation partitions its first join step across
-            that many workers.  Like the rewriting-cache upgrade, the
-            setting persists on the engine.
+            that many workers.  The setting persists on the engine.
         use_processes:
             When given, switches the workers between threads (False,
             default) and a process pool (True).
@@ -624,7 +546,6 @@ class CitationEngine:
             self.use_processes = use_processes
         if shards is not None:
             self.db.reshard(shards)
-        self.ensure_rewriting_cache()
         self._materialized()
         batch = self._group_batch(queries)
         return [

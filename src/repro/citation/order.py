@@ -29,6 +29,7 @@ from repro.citation.polynomial import (
 )
 from repro.citation.tokens import CitationToken, ViewCitationToken
 from repro.semiring.polynomial import ProvenanceMonomial, ProvenancePolynomial
+from repro.util.lru import VersionedLRU
 from repro.views.inclusion import view_strictly_finer
 from repro.views.registry import ViewRegistry
 
@@ -84,8 +85,9 @@ class ViewInclusionOrder(MonomialOrder):
         # Cache pairwise strict-finer decisions (containment checks are
         # not free).  The domain is view-name pairs, so the bound only
         # matters for very large registries — but every cache is bounded.
-        self._finer_cache: dict[tuple[str, str], bool] = {}
-        self._finer_cache_max = 4096
+        self._finer_cache: VersionedLRU[tuple[str, str], bool] = (
+            VersionedLRU(4096, "view-inclusion cache")
+        )
 
     def _finer(self, finer_name: str, coarser_name: str) -> bool:
         key = (finer_name, coarser_name)
@@ -95,9 +97,7 @@ class ViewInclusionOrder(MonomialOrder):
                 self._registry.get(finer_name),
                 self._registry.get(coarser_name),
             )
-            self._finer_cache[key] = cached
-            if len(self._finer_cache) > self._finer_cache_max:
-                self._finer_cache.pop(next(iter(self._finer_cache)))
+            self._finer_cache.put(key, cached)
         return cached
 
     def token_leq(self, a: CitationToken, b: CitationToken) -> bool:

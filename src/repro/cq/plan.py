@@ -42,12 +42,10 @@ the rewriting cache uses.
 from __future__ import annotations
 
 import os
-from collections import OrderedDict
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any
 
-from repro.analysis import sanitizer as _sanitizer
 from repro.cq.atoms import ComparisonAtom, RelationalAtom
 from repro.cq.canonical import canonical_key_and_renaming, canonical_query
 from repro.cq.query import ConjunctiveQuery
@@ -60,7 +58,7 @@ from repro.relational.statistics import (
     RelationStatistics,
     statistics_of,
 )
-from repro.util.lru import check_max_entries, evict_lru
+from repro.util.lru import VersionedLRU
 
 #: Virtual relations: name -> rows.  Anything with a ``statistics_for``
 #: method (e.g. :class:`repro.cq.executor.IndexedVirtualRelations`) serves
@@ -1122,10 +1120,12 @@ class QueryPlanner:
     caches the content hash per relation, so engines holding one
     materialization pay it once.
 
-    Both stores (the canonical cache and the exact-match fast path) are
-    LRU-bounded by ``max_entries``: under millions-of-distinct-queries
-    traffic the least recently used structures are evicted (counted in
-    :attr:`evictions`) instead of growing without bound.
+    Two :class:`~repro.util.lru.VersionedLRU` levels, each bounded by
+    ``max_entries``: the canonical cache, and an exact-match fast path
+    for repeated evaluation of the *same* query (the common front-end
+    case), which skips canonicalization and rebinding entirely.  Every
+    call is one hit or one miss: an exact-level miss falls through to
+    the canonical level, which decides.
     """
 
     def __init__(
@@ -1145,24 +1145,39 @@ class QueryPlanner:
         #: verifies every plan this planner hands out — fresh builds,
         #: cache hits, and rebound plans alike.
         self.verify = verify
-        self.max_entries = check_max_entries(max_entries)
-        self._cache: OrderedDict[str, tuple[QueryPlan, int, tuple]] = (
-            OrderedDict()
+        self._canonical_cache: VersionedLRU[str, QueryPlan] = VersionedLRU(
+            max_entries, "plan cache (canonical)"
         )
-        # Exact-match fast path: repeated evaluation of the *same* query
-        # (the common front-end case) skips canonicalization and rebinding
-        # entirely.  Queries hash by structure, so equal query objects
-        # share the entry.
-        self._exact: OrderedDict[
-            ConjunctiveQuery, tuple[QueryPlan, int, tuple]
-        ] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        # Queries hash by structure, so equal query objects share the
+        # exact-level entry.
+        self._exact_cache: VersionedLRU[ConjunctiveQuery, QueryPlan] = (
+            VersionedLRU(max_entries, "plan cache (exact)")
+        )
 
-    def _bound(self, store: OrderedDict) -> None:
-        """Evict least-recently-used entries beyond ``max_entries``."""
-        self.evictions += evict_lru(store, self.max_entries)
+    @property
+    def hits(self) -> int:
+        return self._exact_cache.hits + self._canonical_cache.hits
+
+    @property
+    def misses(self) -> int:
+        return self._canonical_cache.misses
+
+    @property
+    def evictions(self) -> int:
+        return self._exact_cache.evictions + self._canonical_cache.evictions
+
+    @property
+    def size(self) -> int:
+        return len(self._canonical_cache)
+
+    def counters(self) -> dict[str, int]:
+        """Hit/miss/eviction counters and size, as ``/stats`` reports."""
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "evictions": self.evictions,
+            "size": self.size,
+        }
 
     def _virtual_fingerprint(
         self, query: ConjunctiveQuery, virtual: VirtualRelations | None
@@ -1200,48 +1215,21 @@ class QueryPlanner:
         # reported in the *caller's* variable names, not as the
         # canonical `vN` that plan_query would see.
         query.check_safety()
-        version = self.db.stats_version
-        fingerprint = self._virtual_fingerprint(query, virtual)
-        exact = self._exact.get(query)
-        if exact is not None:
-            plan, cached_version, cached_fingerprint = exact
-            if cached_version == version and cached_fingerprint == fingerprint:
-                if _sanitizer._active:
-                    _sanitizer.check_cache_serve(
-                        "plan cache (exact)", self.db,
-                        cached_version, cached_fingerprint, fingerprint,
-                    )
-                self.hits += 1
-                self._exact.move_to_end(query)
-                return _maybe_verify(plan, self.db, self.verify)
+        tags = (self.db, self.db.stats_version,
+                self._virtual_fingerprint(query, virtual))
+        plan = self._exact_cache.get(query, *tags)
+        if plan is not None:
+            return _maybe_verify(plan, self.db, self.verify)
         key, renaming = canonical_key_and_renaming(query)
-        entry = self._cache.get(key)
-        if entry is not None:
-            plan, cached_version, cached_fingerprint = entry
-            if cached_version == version and cached_fingerprint == fingerprint:
-                if _sanitizer._active:
-                    _sanitizer.check_cache_serve(
-                        "plan cache (canonical)", self.db,
-                        cached_version, cached_fingerprint, fingerprint,
-                    )
-                self.hits += 1
-                self._cache.move_to_end(key)
-                rebound = plan.rebind(query, renaming)
-                self._exact[query] = (rebound, cached_version,
-                                      cached_fingerprint)
-                self._exact.move_to_end(query)
-                self._bound(self._exact)
-                return _maybe_verify(rebound, self.db, self.verify)
-        self.misses += 1
-        plan = plan_query(canonical_query(query, renaming), self.db, virtual)
-        self._cache[key] = (plan, version, fingerprint)
-        self._cache.move_to_end(key)
-        self._bound(self._cache)
-        rebound = plan.rebind(query, renaming)
-        self._exact[query] = (rebound, version, fingerprint)
-        self._exact.move_to_end(query)
-        self._bound(self._exact)
-        return _maybe_verify(rebound, self.db, self.verify)
+        canonical = self._canonical_cache.get(key, *tags)
+        if canonical is None:
+            canonical = plan_query(
+                canonical_query(query, renaming), self.db, virtual
+            )
+            self._canonical_cache.put(key, canonical, *tags)
+        plan = canonical.rebind(query, renaming)
+        self._exact_cache.put(query, plan, *tags)
+        return _maybe_verify(plan, self.db, self.verify)
 
     def plan_union(
         self,
@@ -1260,12 +1248,5 @@ class QueryPlanner:
         return tuple(self.plan(disjunct, virtual) for disjunct in union)
 
     def clear(self) -> None:
-        self._cache.clear()
-        self._exact.clear()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    @property
-    def size(self) -> int:
-        return len(self._cache)
+        self._canonical_cache.clear()
+        self._exact_cache.clear()

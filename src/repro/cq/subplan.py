@@ -28,8 +28,8 @@ Correctness discipline:
   content tokens of every virtual relation the prefix reads.  Any
   insert/delete/bulk load (or virtual-content change) makes the stored
   bindings unreachable; the next execution re-materializes.
-- The memo is LRU-bounded (``max_entries``), with eviction counts, like
-  the rewriting and plan caches.
+- The memo is a :class:`~repro.util.lru.VersionedLRU`, bounded and
+  counted like every other engine cache.
 
 Sharing is *reserved*, not speculative:
 :meth:`~repro.citation.generator.CitationEngine.cite_batch` groups the
@@ -43,11 +43,9 @@ serial binding order at any parallelism.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from collections.abc import Iterator, Sequence
 from typing import Any
 
-from repro.analysis import sanitizer as _sanitizer
 from repro.cq.executor import (
     Binding,
     IndexedVirtualRelations,
@@ -64,7 +62,7 @@ from repro.cq.parallel import (
 )
 from repro.cq.plan import JoinStep, PrefixKey, QueryPlan, prefix_keys
 from repro.relational.database import Database
-from repro.util.lru import check_max_entries, evict_lru
+from repro.util.lru import VersionedLRU
 
 #: Default memo bound.  Smaller than the plan/rewriting cache bounds:
 #: each entry holds a materialized binding list, not just a plan.
@@ -101,16 +99,17 @@ def _prefix_fingerprint(
     return tuple(tokens)
 
 
-class SubplanMemo:
+class SubplanMemo(VersionedLRU[PrefixKey, list[Binding]]):
     """Version-aware memo: prefix key → materialized prefix bindings.
 
-    Entries store the prefix's binding sequence in canonical variable
-    space (``p0, p1, ...`` — the renaming of
-    :func:`~repro.cq.plan.prefix_keys`), tagged with the database they
-    were computed over (by identity: equal keys over *different*
-    databases describe different data), its statistics version, and the
-    virtual-content fingerprint; :meth:`lookup` drops entries whose tags
-    no longer match, so data mutations invalidate transparently.
+    A :class:`~repro.util.lru.VersionedLRU` whose entries store the
+    prefix's binding sequence in canonical variable space (``p0, p1,
+    ...`` — the renaming of :func:`~repro.cq.plan.prefix_keys`), tagged
+    with the database they were computed over (by identity: equal keys
+    over *different* databases describe different data), its statistics
+    version, and the virtual-content fingerprint; :meth:`lookup` drops
+    entries whose tags no longer match, so data mutations invalidate
+    transparently.
 
     Keys must be :meth:`reserve`-d before :func:`execute_plan_shared`
     will materialize them — the batch layer reserves exactly the keys
@@ -120,115 +119,22 @@ class SubplanMemo:
     """
 
     def __init__(self, max_entries: int = DEFAULT_MEMO_ENTRIES) -> None:
-        self.max_entries = check_max_entries(max_entries)
-        self._entries: OrderedDict[
-            PrefixKey, tuple[list[Binding], Database, int, tuple]
-        ] = OrderedDict()
-        self._reserved: OrderedDict[PrefixKey, None] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        super().__init__(max_entries, "sub-plan memo")
+        self._reserved: VersionedLRU[PrefixKey, bool] = VersionedLRU(
+            max_entries, "sub-plan reservations"
+        )
 
-    # -- reservation ----------------------------------------------------------
+    #: ``lookup(key, db, version, fingerprint)``: the valid bindings for
+    #: ``key`` or None; ``store(key, bindings, db, version, fingerprint)``.
+    lookup = VersionedLRU.get
+    store = VersionedLRU.put
 
     def reserve(self, key: PrefixKey) -> None:
         """Mark a prefix key as shared (worth materializing once)."""
-        self._reserved[key] = None
-        self._reserved.move_to_end(key)
-        evict_lru(self._reserved, self.max_entries)
+        self._reserved.put(key, True)
 
     def is_reserved(self, key: PrefixKey) -> bool:
         return key in self._reserved
-
-    # -- storage --------------------------------------------------------------
-
-    def contains(self, key: PrefixKey) -> bool:
-        """Whether any entry (possibly stale) is stored for ``key``.
-
-        A cheap pre-check: callers compute the (relatively expensive)
-        validation fingerprint only for keys that are actually present.
-        """
-        return key in self._entries
-
-    def lookup(
-        self,
-        key: PrefixKey,
-        db: Database,
-        version: int,
-        fingerprint: tuple,
-    ) -> list[Binding] | None:
-        """Valid stored bindings for ``key``, or None.
-
-        Entries tagged with a different database object are left alone
-        (two databases can share one memo without serving each other's
-        bindings); entries for *this* database whose version or
-        fingerprint no longer match are stale — dropped, not served.
-        """
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        bindings, stored_db, stored_version, stored_fingerprint = entry
-        if stored_db is not db:
-            return None
-        if stored_version != version or stored_fingerprint != fingerprint:
-            del self._entries[key]
-            return None
-        self._entries.move_to_end(key)
-        return bindings
-
-    def entry_tags(self, key: PrefixKey) -> tuple[int, tuple] | None:
-        """The ``(stats_version, fingerprint)`` tags stored for ``key``.
-
-        Purely observational; the concurrency sanitizer re-validates a
-        served entry against these tags independently of
-        :meth:`lookup`'s own checks, so a bypassed or patched-out
-        validation still gets caught at the serve point.
-        """
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        __, __, stored_version, stored_fingerprint = entry
-        return stored_version, stored_fingerprint
-
-    def peek(
-        self,
-        key: PrefixKey,
-        db: Database,
-        version: int,
-        fingerprint: tuple,
-    ) -> list[Binding] | None:
-        """Like :meth:`lookup` but purely observational: stale entries
-        are left in place and LRU order does not change (EXPLAIN uses
-        this so rendering a plan never perturbs the memo)."""
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        bindings, stored_db, stored_version, stored_fingerprint = entry
-        if (
-            stored_db is not db
-            or stored_version != version
-            or stored_fingerprint != fingerprint
-        ):
-            return None
-        return bindings
-
-    def store(
-        self,
-        key: PrefixKey,
-        bindings: list[Binding],
-        db: Database,
-        version: int,
-        fingerprint: tuple,
-    ) -> None:
-        self._entries[key] = (bindings, db, version, fingerprint)
-        self._entries.move_to_end(key)
-        self.evictions += evict_lru(self._entries, self.max_entries)
-
-    # -- bookkeeping ----------------------------------------------------------
-
-    @property
-    def size(self) -> int:
-        return len(self._entries)
 
     @property
     def reserved_count(self) -> int:
@@ -240,14 +146,14 @@ class SubplanMemo:
     def worth_checking(self) -> bool:
         """False while the memo can neither serve nor want anything —
         callers skip prefix-key computation entirely then."""
-        return bool(self._entries or self._reserved)
+        return bool(len(self) or len(self._reserved))
+
+    def counters(self) -> dict[str, int]:
+        return {**super().counters(), "reserved": self.reserved_count}
 
     def clear(self) -> None:
-        self._entries.clear()
+        super().clear()
         self._reserved.clear()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
 
 
 def reserve_shared_prefixes(
@@ -334,20 +240,18 @@ def execute_plan_shared(
     hit_length = 0
     canonical_seeds: list[Binding] | None = None
     for length in range(count, 0, -1):
-        if not memo.contains(keys[length - 1]):
+        if keys[length - 1] not in memo:
             continue  # fingerprints are only worth computing on presence
         current = fingerprint(length)
         if current is None:
             continue  # unsharable prefix (unfingerprintable virtual rows)
-        entry = memo.lookup(keys[length - 1], db, version, current)
-        if entry is not None:
-            if _sanitizer._active:
-                tags = memo.entry_tags(keys[length - 1])
-                if tags is not None:
-                    _sanitizer.check_cache_serve(
-                        "sub-plan memo", db, tags[0], tags[1], current
-                    )
-            hit_length, canonical_seeds = length, entry
+        if memo.peek(keys[length - 1], db, version, current) is not None:
+            # Served through lookup so the hit is counted once per
+            # seeded execution (and sanitizer-checked at the serve).
+            canonical_seeds = memo.lookup(
+                keys[length - 1], db, version, current
+            )
+            hit_length = length
             break
     pending = [
         length
@@ -360,7 +264,6 @@ def execute_plan_shared(
         return
 
     if hit_length:
-        memo.hits += 1
         inverse = {canon: orig for orig, canon in renaming.items()}
         assert canonical_seeds is not None
         bindings: list[Binding] = [

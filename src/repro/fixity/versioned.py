@@ -22,6 +22,7 @@ from repro.cq.query import ConjunctiveQuery
 from repro.errors import VersionError
 from repro.relational.database import Database
 from repro.relational.schema import Schema
+from repro.util.lru import VersionedLRU
 from repro.views.registry import ViewRegistry
 
 
@@ -57,9 +58,11 @@ class VersionedDatabase:
         self._versions: list[Version] = [Version(0, initial_tag, 0)]
         self._working = Database(schema)
         # Reconstructed snapshots are whole databases, so keep only a
-        # handful: FIFO-bounded, replays rebuild evicted versions.
-        self._cache: dict[int, Database] = {}
-        self._cache_max = 8
+        # handful; replays rebuild evicted versions.  Committed versions
+        # never change, so entries carry no version tags.
+        self._cache: VersionedLRU[int, Database] = VersionedLRU(
+            8, "snapshot cache"
+        )
 
     # -- mutation --------------------------------------------------------------
 
@@ -122,9 +125,7 @@ class VersionedDatabase:
                 )
             else:
                 db.delete(event.relation, *event.values)
-        self._cache[resolved.number] = db
-        if len(self._cache) > self._cache_max:
-            self._cache.pop(next(iter(self._cache)))
+        self._cache.put(resolved.number, db)
         return db
 
 

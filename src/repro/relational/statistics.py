@@ -25,6 +25,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any
 
+from repro.util.lru import VersionedLRU
+
 #: Selectivity assumed for a range probe over a column whose values mix
 #: incomparable types (no histogram can be built): the classic System-R
 #: default for inequality predicates.
@@ -202,7 +204,6 @@ class RelationStatistics:
         "version",
         "_column_counts",
         "_order_cache",
-        "_order_cache_max",
     )
 
     def __init__(self, arity: int) -> None:
@@ -212,16 +213,14 @@ class RelationStatistics:
         self._column_counts: tuple[Counter, ...] = tuple(
             Counter() for __ in range(arity)
         )
-        #: position -> (version at build, ordered items | None); the
-        #: lazily derived order statistics (min/max/histogram) cache.
-        #: ``None`` items record a mixed-type column (not totally
-        #: ordered), so the negative result is cached too.
-        self._order_cache: dict[
-            int, tuple[int, EquiDepthHistogram | None, Any, Any]
-        ] = {}
-        #: Structural bound on the order cache: keys are column
-        #: positions, so it can never exceed the arity.
-        self._order_cache_max = arity
+        #: position -> (histogram, min, max), tagged with the version
+        #: it was derived at: the lazily derived order statistics.  A
+        #: ``None`` histogram records a mixed-type or empty column, so
+        #: the negative result is cached too.  Keys are column
+        #: positions, so the arity bounds it.
+        self._order_cache: VersionedLRU[
+            int, tuple[EquiDepthHistogram | None, Any, Any]
+        ] = VersionedLRU(max(1, arity), "order statistics")
 
     # -- maintenance ----------------------------------------------------------
 
@@ -376,10 +375,13 @@ class RelationStatistics:
         ``(None, None, None)``; NaN values are excluded (no range
         predicate matches them).
         """
-        cached = self._order_cache.get(position)
-        if cached is not None and cached[0] == self.version:
-            return cached[1], cached[2], cached[3]
+        cached = self._order_cache.get(position, version=self.version)
+        if cached is not None:
+            return cached
         counter = self._column_counts[position]
+        ordered: tuple[EquiDepthHistogram | None, Any, Any] = (
+            None, None, None
+        )
         try:
             items = sorted(
                 (value, count)
@@ -387,15 +389,15 @@ class RelationStatistics:
                 if value == value  # drop NaN
             )
         except TypeError:
-            self._order_cache[position] = (self.version, None, None, None)
-            return None, None, None
-        if not items:
-            self._order_cache[position] = (self.version, None, None, None)
-            return None, None, None
-        histogram = EquiDepthHistogram.from_frequencies(items)
-        lo, hi = items[0][0], items[-1][0]
-        self._order_cache[position] = (self.version, histogram, lo, hi)
-        return histogram, lo, hi
+            items = []
+        if items:
+            ordered = (
+                EquiDepthHistogram.from_frequencies(items),
+                items[0][0],
+                items[-1][0],
+            )
+        self._order_cache.put(position, ordered, version=self.version)
+        return ordered
 
     def min_value(self, position: int) -> Any:
         """Smallest value in the column (None: empty or mixed-type)."""

@@ -4,8 +4,9 @@ cross-client micro-batching of single-query citation requests.
 The :class:`~repro.citation.generator.CitationEngine` (and the database
 under it) is not thread-safe, and its whole value in a service is the
 *shared* warm state — plan cache, rewriting cache, sub-plan memo,
-secondary indexes.  The lane therefore gives the engine exactly one
-execution thread:
+secondary indexes.  The lane is the engine's one serialization point —
+the engine itself holds no lock — and gives it exactly one execution
+thread at a time:
 
 - every engine-touching job (cite, plan, analyze, insert, delete) is
   queued and executed in admission order on a single worker, so a write
@@ -252,7 +253,9 @@ class EngineLane:
         batch = self._coalesce(first)
         queries = [job.payload for job in batch]
         try:
-            results = await self.engine.acite_batch(queries)
+            results = await asyncio.to_thread(
+                self._run_owned, lambda: self.engine.cite_batch(queries)
+            )
         except BaseException as exc:  # noqa: B036 - forwarded per future
             for job in batch:
                 _deliver(job.future, error=exc)

@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.analysis import analyze_query, analyze_union, has_errors
-from repro.analysis import sanitizer as _sanitizer
 from repro.citation.generator import CitationEngine, CitationResult
 from repro.cq.ucq import UnionQuery, parse_union_query
 from repro.errors import ReproError
@@ -59,6 +58,7 @@ from repro.service.protocol import (
     read_request,
     render_response,
 )
+from repro.util.lru import VersionedLRU
 
 logger = logging.getLogger("repro.service")
 
@@ -181,10 +181,11 @@ class CitationService:
         )
         self._server: asyncio.AbstractServer | None = None
         # QA diagnostics are pure in (query, stats_version): repeat
-        # traffic skips the analysis lane job entirely.  Version-keyed
-        # like the engine's plan cache, so mutations invalidate lazily.
-        self._analysis_cache: dict[tuple[str, int], list[Any]] = {}
-        self._analysis_cache_max = 256
+        # traffic skips the analysis lane job entirely.  Version-tagged
+        # like the engine's caches, so mutations invalidate lazily.
+        self.analysis_cache: VersionedLRU[str, list[Any]] = VersionedLRU(
+            256, "analysis cache"
+        )
         self._connections: set[_Connection] = set()
         self._draining = False
         self._stopped = asyncio.Event()
@@ -402,13 +403,9 @@ class CitationService:
     async def _analyze_on_lane(self, query: Any) -> list[Any]:
         """QA diagnostics, serialized with writes on the engine lane."""
         engine = self.engine
-        key = (repr(query), engine.db.stats_version)
-        cached = self._analysis_cache.get(key)
+        key, version = repr(query), engine.db.stats_version
+        cached = self.analysis_cache.get(key, engine.db, version)
         if cached is not None:
-            if _sanitizer._active:
-                _sanitizer.check_cache_serve(
-                    "analysis cache", engine.db, key[1]
-                )
             return cached
 
         def job() -> list[Any]:
@@ -417,10 +414,7 @@ class CitationService:
             return analyze_query(query, engine.db)
 
         diagnostics = await self._bounded(self.lane.submit(job))
-        if len(self._analysis_cache) >= self._analysis_cache_max:
-            # FIFO eviction: dict preserves insertion order.
-            self._analysis_cache.pop(next(iter(self._analysis_cache)))
-        self._analysis_cache[key] = diagnostics
+        self.analysis_cache.put(key, diagnostics, engine.db, version)
         return diagnostics
 
     async def _bounded(self, future: "asyncio.Future[Any]") -> Any:
@@ -630,9 +624,6 @@ class CitationService:
         from repro.cq.parallel import SHIPPING
 
         engine = self.engine
-        planner = engine.planner
-        memo = engine.subplan_memo
-        rewriter = engine.rewriting_engine
         return {
             "service": self.metrics.snapshot(),
             "admission": {
@@ -644,24 +635,11 @@ class CitationService:
                 "stats_version": engine.db.stats_version,
                 "shards": engine.db.shards,
                 "policy": engine.policy.name,
-                "plan_cache": {
-                    "hits": planner.hits,
-                    "misses": planner.misses,
-                    "evictions": planner.evictions,
-                    "size": planner.size,
-                },
-                "rewriting_cache": {
-                    "hits": getattr(rewriter, "hits", 0),
-                    "misses": getattr(rewriter, "misses", 0),
-                    "evictions": getattr(rewriter, "evictions", 0),
-                },
-                "subplan_memo": {
-                    "hits": memo.hits,
-                    "misses": memo.misses,
-                    "evictions": memo.evictions,
-                    "size": memo.size,
-                    "reserved": memo.reserved_count,
-                },
+                "plan_cache": engine.planner.counters(),
+                "rewriting_cache": engine.rewriting_engine.counters(),
+                "subplan_memo": engine.subplan_memo.counters(),
+                "record_cache": engine.record_cache.counters(),
+                "analysis_cache": self.analysis_cache.counters(),
             },
             "shipping": {
                 "shipped_bytes": SHIPPING.shipped_bytes,

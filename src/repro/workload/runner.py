@@ -194,12 +194,7 @@ def run_workload(
         per_class[name] = per_class.get(name, 0) + 1
 
     planner = engine.planner
-    # Force the cite_batch rewriting-cache upgrade *before* snapshotting,
-    # so the before/after counters always come from the engine object the
-    # batch actually uses.  (Snapshotting first and re-reading after the
-    # run compares counters across two different objects whenever the
-    # upgrade swaps the engine mid-run, skewing hits/misses.)
-    rewriter = engine.ensure_rewriting_cache()
+    rewriter = engine.rewriting_engine
     memo = engine.subplan_memo
     hits_before = rewriter.hits
     misses_before = rewriter.misses

@@ -5,11 +5,11 @@ it.  Never imported; excluded from ruff (see pyproject.toml).
 """
 
 
-async def fire_and_forget(lane, engine, query, job):
+async def fire_and_forget(lane, query, job):
     # VIOLATION: the returned future is dropped, so the job's result
     # and errors are lost.
     lane.submit(job)
-    # VIOLATION: coroutine created and discarded, never awaited.
-    engine.acite_batch([query])
+    # VIOLATION: the citation's future is dropped the same way.
+    lane.submit_cite(query)
     # OK: awaited.
     return await lane.submit_cite(query)

@@ -34,11 +34,20 @@ class TestRules:
         assert codes(findings) == ["RL102"]
         flagged = {f.message.split("`")[1] for f in findings}
         assert flagged == {"_plan_cache", "_result_memo"}
+        assert len(findings) == 2  # the VersionedLRU-built cache passes
+
+    def test_rl102_flags_hand_bounded_caches(self):
+        # A `*max*` sibling no longer excuses a plain dict: the bound
+        # must be the shared primitive's.
+        findings = lint_file(FIXTURES / "rl102_hand_bounded_cache.py")
+        assert codes(findings) == ["RL102"]
+        assert len(findings) == 1
+        assert "VersionedLRU" in findings[0].message
 
     def test_rl103_flags_discarded_submissions(self):
         findings = lint_file(FIXTURES / "service" / "rl103_discarded_submit.py")
         assert codes(findings) == ["RL103"]
-        assert len(findings) == 2  # submit + acite_batch, not the await
+        assert len(findings) == 2  # submit + submit_cite, not the await
 
     def test_rl104_flags_external_internal_access(self):
         findings = lint_file(FIXTURES / "rl104_shard_internals.py")
@@ -50,6 +59,29 @@ class TestRules:
         findings = lint_file(FIXTURES / "rl105_bare_except.py")
         assert codes(findings) == ["RL105"]
         assert len(findings) == 2  # bare + pass-only, not the logged one
+
+    def test_rl106_flags_locks_outside_the_sanitizer(self):
+        findings = lint_file(FIXTURES / "repro" / "rl106_engine_lock.py")
+        assert codes(findings) == ["RL106"]
+        assert len(findings) == 2  # RLock twice, not the Event
+
+    def test_rl106_is_scoped_to_the_package(self, tmp_path):
+        # Client-side tools (load generators, scripts) may lock; only
+        # engine code inside the package may not.
+        source = "import threading\nlock = threading.Lock()\n"
+        package = tmp_path / "repro"
+        package.mkdir()
+        inside = package / "module.py"
+        inside.write_text(source)
+        outside = tmp_path / "module.py"
+        outside.write_text(source)
+        assert codes(lint_file(inside)) == ["RL106"]
+        assert lint_file(outside) == []
+
+    def test_rl106_exempts_the_sanitizer(self):
+        sanitizer = REPO_ROOT / "src" / "repro" / "analysis" / "sanitizer.py"
+        assert "threading.Lock()" in sanitizer.read_text()
+        assert lint_file(sanitizer) == []
 
     def test_rl104_is_scoped_to_non_relational_paths(self, tmp_path):
         relational = tmp_path / "relational"
@@ -129,7 +161,7 @@ class TestRunnerTool:
     def test_findings_set_exit_one(self):
         result = self.run_tool("tests/analysis/lint_fixtures")
         assert result.returncode == 1
-        for code in ("RL101", "RL102", "RL103", "RL104", "RL105"):
+        for code in ("RL101", "RL102", "RL103", "RL104", "RL105", "RL106"):
             assert code in result.stdout, f"{code} missing from output"
 
     def test_missing_path_is_an_error(self):

@@ -135,13 +135,10 @@ class TestStaleCacheServe:
         )]
         engine.cite_batch(queries)  # populate the sub-plan memo
 
-        def stale_lookup(self, key, db, version, fingerprint):
-            entry = self._entries.get(key)
-            if entry is None:
-                return None
-            return entry[0]  # BUG: serves without any validation
+        def stale_fresh(self, entry, version, token):
+            return True  # BUG: serves without any validation
 
-        monkeypatch.setattr(SubplanMemo, "lookup", stale_lookup)
+        monkeypatch.setattr(SubplanMemo, "_fresh", stale_fresh)
         engine.db.insert("Family", "F998", "stale", "gpcr")
         with pytest.raises(ConcurrencySanitizerError) as err:
             engine.cite_batch(queries)

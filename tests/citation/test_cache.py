@@ -125,18 +125,23 @@ class TestCacheBound:
 
 
 class TestCitationEngineIntegration:
-    def test_cache_flag_preserves_results(self, db, registry):
+    def test_cached_rewritings_preserve_results(self, db, registry):
+        # Every engine rewrites through the cache from construction: the
+        # cache-served repeat cites exactly what the enumerating first
+        # call did.
         query = 'Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx)'
-        plain = CitationEngine(db, registry).cite(query)
-        cached = CitationEngine(db, registry,
-                                cache_rewritings=True).cite(query)
-        assert set(plain.tuples) == set(cached.tuples)
-        for output in plain.tuples:
-            assert plain.tuples[output].polynomial == \
-                cached.tuples[output].polynomial
+        engine = CitationEngine(db, registry)
+        assert isinstance(engine.rewriting_engine, CachedRewritingEngine)
+        cold = engine.cite(query)
+        warm = engine.cite(query)
+        assert engine.rewriting_engine.hits == 1
+        assert set(cold.tuples) == set(warm.tuples)
+        for output in cold.tuples:
+            assert cold.tuples[output].polynomial == \
+                warm.tuples[output].polynomial
 
     def test_cache_reused_across_alpha_variants(self, db, registry):
-        engine = CitationEngine(db, registry, cache_rewritings=True)
+        engine = CitationEngine(db, registry)
         engine.cite('Q(N) :- Family(F, N, Ty), Ty = "gpcr"')
         engine.cite('Q(M) :- Family(G, M, T), T = "gpcr"')
         assert engine.rewriting_engine.hits == 1

@@ -197,6 +197,23 @@ class TestEngineAPI:
         after = engine.cite('Q(N) :- Family(F, N, Ty), Ty = "vgic"')
         assert len(after.tuples) == 2
 
+    def test_mutation_makes_rendered_records_stale(self, registry):
+        # invalidate_data keeps the record cache; its entries are
+        # tagged with stats_version, so the insert alone stops the old
+        # committee from being served.
+        from repro.gtopdb.sample import paper_database
+        db = paper_database()
+        engine = CitationEngine(db, registry)
+        query = 'Q(N) :- Family(F, N, Ty), F = "20"'
+        assert "Hay" not in str(engine.cite(query).records)
+        assert len(engine.record_cache) > 0
+        db.insert("FC", "20", "p1")
+        engine.invalidate_data()
+        assert len(engine.record_cache) > 0
+        misses = engine.record_cache.misses
+        assert "Hay" in str(engine.cite(query).records)
+        assert engine.record_cache.misses > misses
+
     def test_result_repr(self, focused_engine):
         result = focused_engine.cite(EX22_QUERY)
         assert "tuples" in repr(result)

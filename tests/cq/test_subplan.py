@@ -270,24 +270,26 @@ class TestInvalidation:
 class TestSubplanMemo:
     def test_lru_eviction_and_counts(self):
         db = make_db()
+        version = db.stats_version
         memo = SubplanMemo(max_entries=2)
         for index in range(3):
-            memo.store(f"k{index}", [], db, 0, ())
+            memo.store(f"k{index}", [], db, version, ())
         assert memo.size == 2
         assert memo.evictions == 1
         # The oldest entry was evicted.
-        assert memo.lookup("k0", db, 0, ()) is None
-        assert memo.lookup("k2", db, 0, ()) == []
+        assert memo.lookup("k0", db, version, ()) is None
+        assert memo.lookup("k2", db, version, ()) == []
 
     def test_lookup_refreshes_lru_order(self):
         db = make_db()
+        version = db.stats_version
         memo = SubplanMemo(max_entries=2)
-        memo.store("a", [], db, 0, ())
-        memo.store("b", [], db, 0, ())
-        memo.lookup("a", db, 0, ())  # refresh a; b becomes the LRU entry
-        memo.store("c", [], db, 0, ())
-        assert memo.lookup("a", db, 0, ()) is not None
-        assert memo.lookup("b", db, 0, ()) is None
+        memo.store("a", [], db, version, ())
+        memo.store("b", [], db, version, ())
+        memo.lookup("a", db, version, ())  # refresh a; b becomes the LRU entry
+        memo.store("c", [], db, version, ())
+        assert memo.lookup("a", db, version, ()) is not None
+        assert memo.lookup("b", db, version, ()) is None
 
     def test_stale_entries_dropped_not_served(self):
         db = make_db()
@@ -326,10 +328,11 @@ class TestSubplanMemo:
 
     def test_clear_resets_everything(self):
         db = make_db()
+        version = db.stats_version
         memo = SubplanMemo(max_entries=1)
         memo.reserve("k")
-        memo.store("a", [], db, 0, ())
-        memo.store("b", [], db, 0, ())
+        memo.store("a", [], db, version, ())
+        memo.store("b", [], db, version, ())
         memo.hits += 2
         memo.misses += 1
         memo.clear()

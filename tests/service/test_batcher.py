@@ -1,11 +1,12 @@
 """Unit tests for the engine lane (repro.service.batcher).
 
 A stub engine stands in for :class:`CitationEngine` — the lane only
-needs ``acite_batch`` — so coalescing, admission control, ordering, and
+needs ``cite_batch`` — so coalescing, admission control, ordering, and
 timeout semantics are tested deterministically without citation work.
 """
 
 import asyncio
+import time
 
 import pytest
 
@@ -25,10 +26,11 @@ class StubEngine:
         self.calls: list[str] = []
         self.delay_s = delay_s
 
-    async def acite_batch(self, queries):
+    def cite_batch(self, queries):
+        # Runs on the lane's worker thread, like the real engine.
         self.batches.append(list(queries))
         if self.delay_s:
-            await asyncio.sleep(self.delay_s)
+            time.sleep(self.delay_s)
         return [f"cited:{query}" for query in queries]
 
 
@@ -155,7 +157,7 @@ class TestErrorsAndTimeouts:
 
     def test_batch_exception_forwarded_to_every_member(self):
         class FailingEngine(StubEngine):
-            async def acite_batch(self, queries):
+            def cite_batch(self, queries):
                 raise RuntimeError("engine died")
 
         async def go():

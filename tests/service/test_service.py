@@ -185,8 +185,11 @@ class TestStatsAndHealth:
             "service", "admission", "engine", "shipping",
         }
         engine = stats["engine"]
-        for cache in ("plan_cache", "rewriting_cache", "subplan_memo"):
-            assert {"hits", "misses", "evictions"} <= set(engine[cache])
+        for cache in ("plan_cache", "rewriting_cache", "subplan_memo",
+                      "record_cache", "analysis_cache"):
+            assert {"hits", "misses", "evictions", "size"} <= set(
+                engine[cache]
+            )
         assert "reserved" in engine["subplan_memo"]
         service = stats["service"]
         assert "POST /cite" in service["endpoints"]

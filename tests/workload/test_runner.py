@@ -38,10 +38,11 @@ class TestRunWorkload:
         assert report.plan_hits >= 1
         assert 0.0 < report.rewriting_hit_rate <= 1.0
 
-    def test_engine_upgraded_to_cached_rewriting(self, engine):
-        assert not isinstance(engine.rewriting_engine, CachedRewritingEngine)
+    def test_engine_caches_rewritings_from_construction(self, engine):
+        rewriter = engine.rewriting_engine
+        assert isinstance(rewriter, CachedRewritingEngine)
         run_workload(engine, QUERIES[:1])
-        assert isinstance(engine.rewriting_engine, CachedRewritingEngine)
+        assert engine.rewriting_engine is rewriter
 
     def test_second_batch_starts_warm(self, engine):
         run_workload(engine, QUERIES)
@@ -112,7 +113,7 @@ class TestCounterAccounting:
     def test_snapshot_from_pre_upgraded_engine(self, db, registry):
         # Counters accumulated *outside* the workload must not leak into
         # the report.
-        engine = CitationEngine(db, registry, cache_rewritings=True)
+        engine = CitationEngine(db, registry)
         engine.cite(QUERIES[0])
         engine.cite(QUERIES[0])
         assert engine.rewriting_engine.hits >= 1
@@ -120,14 +121,11 @@ class TestCounterAccounting:
         assert report.rewriting_hits == 1
         assert report.rewriting_misses == 0
 
-    def test_snapshot_when_upgrade_happens_in_run(self, db, registry):
-        # The upgrade to a CachedRewritingEngine now happens before the
-        # counters are snapshotted, so before/after always read from the
-        # same object.
+    def test_snapshot_on_a_fresh_engine(self, db, registry):
+        # A fresh engine's counters start at zero, so the report covers
+        # exactly the run's own lookups.
         engine = CitationEngine(db, registry)
-        assert not isinstance(engine.rewriting_engine, CachedRewritingEngine)
         report = run_workload(engine, QUERIES)
-        assert isinstance(engine.rewriting_engine, CachedRewritingEngine)
         assert report.rewriting_misses == 2  # two distinct structures
         assert report.rewriting_hits == 1  # one α-equivalent repeat
 
