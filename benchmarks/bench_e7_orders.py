@@ -3,20 +3,29 @@
 Paper claims: the three order constructions behave as described — fewer
 views preferred (3.6), fewer uncovered C_R atoms preferred (3.7), included
 views preferred (3.8) — and normal forms remove dominated monomials.
-Benchmark: normal-form computation over growing polynomials.
+Benchmark: normal-form computation over growing polynomials, and the
+absorbing ``Agg`` of a type-wide citation against the all-pairs
+definition.
 """
+
+import time
+from collections import Counter
 
 import pytest
 
+from repro.citation.generator import CitationEngine
 from repro.citation.order import (
     FewestUncoveredOrder,
     FewestViewsOrder,
     ViewInclusionOrder,
+    absorbing_sum,
     best_polynomials,
     normal_form,
 )
-from repro.citation.polynomial import monomial_from_tokens
+from repro.citation.policy import focused_policy
+from repro.citation.polynomial import idempotent_sum, monomial_from_tokens
 from repro.citation.tokens import BaseRelationToken, ViewCitationToken
+from repro.gtopdb.generator import GtopdbGenerator
 from repro.semiring.polynomial import ProvenancePolynomial
 
 
@@ -88,3 +97,61 @@ def test_e7_plus_r_best(benchmark, registry):
     ]
     kept = benchmark(best_polynomials, polys, order)
     assert kept == [polys[1]]
+
+
+def pairwise_normal_form(polynomial, order):
+    """Section 3.4's normal form by its definition: every monomial
+    against every other (the reference for the speed-up below)."""
+    monomials = polynomial.monomials()
+    kept = {}
+    for monomial in monomials:
+        dominated = any(
+            other != monomial and order.strictly_less(monomial, other)
+            for other in monomials
+        )
+        if not dominated:
+            kept[monomial] = polynomial.terms[monomial]
+    return ProvenancePolynomial(kept)
+
+
+def family_only_aggregate(families, registry):
+    """The Agg polynomial (Def 3.4), before absorption, of the
+    ``Family``-only citation of the largest type, and the order that
+    absorbs it: one ``C[V1(f)]`` per family plus ``C[V4(type)]``."""
+    db = GtopdbGenerator(
+        families=families, persons=families // 2, types=10
+    ).build()
+    counts = Counter(row[2] for row in db.relation("Family"))
+    largest = max(sorted(counts), key=counts.__getitem__)
+    engine = CitationEngine(db, registry, policy=focused_policy(registry))
+    result = engine.cite(f'Q(N) :- Family(F, N, Ty), Ty = "{largest}"')
+    aggregate = idempotent_sum(
+        tc.polynomial for tc in result.tuples.values()
+    )
+    return aggregate, engine.policy.order
+
+
+def test_e7_type_wide_aggregate_absorption(benchmark, registry, quick):
+    """The maximal-elements absorption is exact and at least 2× faster
+    than the all-pairs definition on a type-wide aggregate (~150
+    monomials under ``--quick``, ~700 at full size)."""
+    aggregate, order = family_only_aggregate(450 if quick else 2000,
+                                             registry)
+    started = time.perf_counter()
+    expected = pairwise_normal_form(aggregate, order)
+    pairwise = time.perf_counter() - started
+    fast = None
+    for __ in range(3):
+        started = time.perf_counter()
+        absorbing_sum([aggregate], order)
+        elapsed = time.perf_counter() - started
+        fast = elapsed if fast is None else min(fast, elapsed)
+    result = benchmark(absorbing_sum, [aggregate], order)
+    assert list(result.terms.items()) == list(expected.terms.items())
+    speedup = pairwise / fast
+    benchmark.extra_info["monomials"] = len(aggregate.monomials())
+    benchmark.extra_info["speedup"] = round(speedup, 1)
+    assert speedup >= 2, (
+        f"{len(aggregate.monomials())} monomials: maximal {fast:.6f}s, "
+        f"pairwise {pairwise:.6f}s, speedup {speedup:.2f}x"
+    )

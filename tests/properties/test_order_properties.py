@@ -7,19 +7,29 @@ from repro.citation.order import (
     FewestUncoveredOrder,
     FewestViewsOrder,
     LexicographicOrder,
+    ViewInclusionOrder,
     absorbing_sum,
     best_polynomials,
     normal_form,
     polynomial_leq,
 )
+from repro.citation.policy import default_order
 from repro.citation.polynomial import monomial_from_tokens
 from repro.citation.tokens import BaseRelationToken, ViewCitationToken
+from repro.gtopdb.views import paper_registry
 from repro.semiring.polynomial import ProvenancePolynomial
 
-view_tokens = st.builds(
-    ViewCitationToken,
-    st.sampled_from(["V1", "V2", "V4", "V5"]),
-    st.tuples(st.sampled_from(["11", "13", "gpcr"])),
+REGISTRY = paper_registry()
+
+# V3 has no λ-parameter: V1 and V4 are strictly finer than it, which
+# gives the view-inclusion order comparable pairs.
+view_tokens = st.one_of(
+    st.builds(
+        ViewCitationToken,
+        st.sampled_from(["V1", "V2", "V4", "V5"]),
+        st.tuples(st.sampled_from(["11", "13", "gpcr"])),
+    ),
+    st.just(ViewCitationToken("V3")),
 )
 base_tokens = st.builds(
     BaseRelationToken, st.sampled_from(["FC", "Person", "MetaData"])
@@ -45,6 +55,8 @@ ORDERS = [
     FewestViewsOrder(),
     FewestUncoveredOrder(),
     LexicographicOrder([FewestUncoveredOrder(), FewestViewsOrder()]),
+    ViewInclusionOrder(REGISTRY),
+    default_order(REGISTRY),
 ]
 order_strategy = st.sampled_from(ORDERS)
 
