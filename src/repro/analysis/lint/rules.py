@@ -21,7 +21,6 @@ MUTATOR_NAMES = frozenset({
     "insert_batch",
     "insert_many",
     "delete",
-    "reshard",
     "invalidate_data",
     "refresh",
 })
@@ -38,14 +37,12 @@ MUST_USE_NAMES = frozenset({
 })
 
 #: Internal storage attributes of the relational layer (RL104).
-SHARD_INTERNAL_NAMES = frozenset({
+STORAGE_INTERNAL_NAMES = frozenset({
     "_rows",
-    "_shards",
     "_indexes",
     "_sorted_indexes",
     "_composite_indexes",
     "_key_index",
-    "_next_ordinal",
     "_instances",
 })
 
@@ -211,11 +208,11 @@ class _FileLinter(ast.NodeVisitor):
             )
         self.generic_visit(node)
 
-    # -- RL104: shard-internal access outside relational/ --------------------
+    # -- RL104: storage-internal access outside relational/ ------------------
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
         if (
-            node.attr in SHARD_INTERNAL_NAMES
+            node.attr in STORAGE_INTERNAL_NAMES
             and "relational" not in self.path.parts
             and not (
                 isinstance(node.value, ast.Name)
@@ -224,9 +221,9 @@ class _FileLinter(ast.NodeVisitor):
         ):
             self._flag(
                 "RL104",
-                f"shard-internal attribute `{node.attr}` accessed "
+                f"storage-internal attribute `{node.attr}` accessed "
                 "outside the relational layer; use the public "
-                "shard/lookup API so storage refactors (and the "
+                "lookup API so storage refactors (and the "
                 "sanitizer's mutation hooks) stay airtight",
                 node,
             )

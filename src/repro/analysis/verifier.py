@@ -1,10 +1,10 @@
 """Structural plan verification: a sanitizer for the planning pipeline.
 
 The optimizer stack (access-path selection, predicate pushdown, subplan
-memoization, sharded seeding) preserves an implicit contract with the
-executor: every probe value is available when the probe fires, every
-comparison of the source query is applied exactly once, every access
-path is applicable to the position it serves.  Until now only the
+memoization) preserves an implicit contract with the executor: every
+probe value is available when the probe fires, every comparison of the
+source query is applied exactly once, every access path is applicable
+to the position it serves.  Until now only the
 end-to-end differential tests (planned ≡ reference) stood between an
 optimizer bug and a wrong citation.  :func:`verify_plan` turns that
 contract into machine-checked rules:
@@ -28,10 +28,6 @@ contract into machine-checked rules:
    every truncation of the plan agree with the full plan's keys, so the
    subplan memo can never seed a prefix whose key depended on its
    suffix.
-6. **Sharded seeding capability** — a first step eligible for
-   storage-shard fan-out must target an ordinal-capable source (a base
-   relation exposing per-shard ``(ordinal, row)`` pairs), and its probe
-   must be all constants.
 
 Violations raise :class:`PlanVerificationError` carrying step-indexed
 messages.  The verifier recomputes the equality/interval closures from
@@ -64,7 +60,6 @@ from repro.cq.plan import (
 )
 from repro.cq.terms import Constant, Variable
 from repro.errors import ReproError
-from repro.relational.database import Database
 
 
 class PlanVerificationError(ReproError):
@@ -562,39 +557,7 @@ def _check_prefix_keys(plan: QueryPlan) -> list[str]:
     return violations
 
 
-def _check_seeding_capability(
-    plan: QueryPlan, db: Database | None
-) -> list[str]:
-    """Sharded first-step seeding must target ordinal-capable sources."""
-    if not plan.steps:
-        return []
-    step = plan.steps[0]
-    violations = []
-    for term in step.lookup_terms:
-        if not isinstance(term, Constant):
-            violations.append(
-                f"step 1: first-step probe term {term!r} is not a "
-                "constant (no prior step can have bound it)"
-            )
-    if db is None or step.virtual:
-        return violations
-    try:
-        instance = db.relation(step.atom.relation)
-    except ReproError as error:
-        return violations + [f"step 1: {error}"]
-    if not (
-        hasattr(instance, "shard_lookup_pairs")
-        and getattr(instance, "shard_count", 0) >= 1
-    ):
-        violations.append(
-            f"step 1: relation {step.atom.relation!r} is not "
-            "ordinal-capable (sharded seeding could not merge its rows "
-            "back into serial order)"
-        )
-    return violations
-
-
-def check_plan(plan: QueryPlan, db: Database | None = None) -> list[str]:
+def check_plan(plan: QueryPlan) -> list[str]:
     """Run the whole rulebook; return every violation found (no raise)."""
     closure, intervals, expected_residual, representatives, violations = (
         _recompute_closures(plan)
@@ -618,26 +581,23 @@ def check_plan(plan: QueryPlan, db: Database | None = None) -> list[str]:
     )
     violations += _check_rebind_roundtrip(plan)
     violations += _check_prefix_keys(plan)
-    violations += _check_seeding_capability(plan, db)
     return violations
 
 
-def verify_plan(plan: QueryPlan, db: Database | None = None) -> QueryPlan:
+def verify_plan(plan: QueryPlan) -> QueryPlan:
     """Raise :class:`PlanVerificationError` unless ``plan`` is sound.
 
     Returns the plan unchanged, so call sites can verify in passing:
-    ``return verify_plan(plan_query(q, db), db)``.
+    ``return verify_plan(plan_query(q, db))``.
     """
-    violations = check_plan(plan, db)
+    violations = check_plan(plan)
     if violations:
         raise PlanVerificationError(plan, violations)
     return plan
 
 
-def verify_plans(
-    plans: Sequence[QueryPlan], db: Database | None = None
-) -> Sequence[QueryPlan]:
+def verify_plans(plans: Sequence[QueryPlan]) -> Sequence[QueryPlan]:
     """Verify every plan of a union (or any plan collection)."""
     for plan in plans:
-        verify_plan(plan, db)
+        verify_plan(plan)
     return plans

@@ -146,17 +146,6 @@ class CitationEngine:
         which every query reaches through a
         :class:`~repro.citation.cache.CachedRewritingEngine` (Def 2.2
         enumeration memoized per α-equivalence class).
-    parallelism / use_processes:
-        Worker count (and thread/process choice) for the shard-and-merge
-        executor (:mod:`repro.cq.parallel`) used by every rewriting
-        evaluation; 1 runs serially.  Results are identical at any
-        setting.  :meth:`cite_batch` can override both per batch.
-    shards:
-        When given, repartitions the database's relation storage into
-        that many shards (:meth:`~repro.relational.database.Database
-        .reshard`), enabling shard-parallel first-step scans and probes
-        and shard-sliced process-pool payloads.  Like ``parallelism``,
-        results are identical at any shard count.
     share_subplans:
         When True (the default), :meth:`cite_batch` groups each batch by
         shared plan prefixes and evaluates every shared join prefix
@@ -175,8 +164,8 @@ class CitationEngine:
         Sets the **process-wide** concurrency-sanitizer mode
         (:func:`~repro.analysis.sanitizer.set_sanitize`): ``"always"``
         turns on lane-ownership/affinity checks, independent cache-serve
-        re-validation, ordinal-merge monotonicity checks and event-loop
-        blocking detection for the whole process; ``"off"`` disables
+        re-validation and event-loop blocking detection for the whole
+        process; ``"off"`` disables
         them; None (the default) leaves the current mode (seeded from
         ``REPRO_SANITIZE``) untouched.
 
@@ -197,20 +186,15 @@ class CitationEngine:
         include_partial: bool = True,
         validate: bool = True,
         max_rewritings: int | None = None,
-        parallelism: int = 1,
-        use_processes: bool = False,
-        shards: int | None = None,
         share_subplans: bool = True,
         verify_plans: str | None = None,
         sanitize: str | None = None,
     ) -> None:
         if sanitize is not None:
-            # Process-wide, like REPRO_SANITIZE: ownership and fan-out
-            # state are properties of the whole process, not one engine.
+            # Process-wide, like REPRO_SANITIZE: ownership state is a
+            # property of the whole process, not one engine.
             set_sanitize(sanitize)
         self.db = db
-        if shards is not None:
-            db.reshard(shards)
         self.registry = registry
         self.policy = policy or focused_policy(registry)
         self.rewriting_engine = CachedRewritingEngine(RewritingEngine(
@@ -232,8 +216,6 @@ class CitationEngine:
         #: prefix once (:mod:`repro.cq.subplan`).
         self.subplan_memo = SubplanMemo()
         self.share_subplans = share_subplans
-        self.parallelism = parallelism
-        self.use_processes = use_processes
         self._virtual: IndexedVirtualRelations | None = None
         #: Rendered citation records per token, tagged with the
         #: ``stats_version`` they were rendered at (view citation
@@ -241,11 +223,6 @@ class CitationEngine:
         self.record_cache: VersionedLRU[CitationToken, Record] = (
             VersionedLRU(4096, "record cache")
         )
-
-    @property
-    def shards(self) -> int:
-        """The database's current storage shard count."""
-        return self.db.shards
 
     # ------------------------------------------------------------------
 
@@ -332,8 +309,6 @@ class CitationEngine:
             self.db,
             virtual=self._materialized(),
             planner=self.planner,
-            parallelism=self.parallelism,
-            use_processes=self.use_processes,
             plan=plan,
             memo=self._active_memo(),
         )
@@ -500,9 +475,6 @@ class CitationEngine:
     def cite_batch(
         self,
         queries: "Sequence[ConjunctiveQuery | str]",
-        parallelism: int | None = None,
-        use_processes: bool | None = None,
-        shards: int | None = None,
     ) -> list[CitationResult]:
         """Cite a whole workload, sharing work across the queries.
 
@@ -519,33 +491,12 @@ class CitationEngine:
         ----------
         queries:
             The workload, as query objects or Datalog strings.
-        parallelism:
-            When given, sets the engine's shard-and-merge worker count
-            (:mod:`repro.cq.parallel`) for this and later batches; every
-            rewriting evaluation partitions its first join step across
-            that many workers.  The setting persists on the engine.
-        use_processes:
-            When given, switches the workers between threads (False,
-            default) and a process pool (True).
-        shards:
-            When given, repartitions the database's relation storage
-            into that many shards before the batch
-            (:meth:`~repro.relational.database.Database.reshard`); the
-            repartitioning persists on the database like the other
-            knobs persist on the engine.
 
         Returns
         -------
         One :class:`CitationResult` per query, in order.  Results are
-        identical at any parallelism and shard count (bindings merge in
-        serial order), and identical with sub-plan sharing on or off.
+        identical with sub-plan sharing on or off.
         """
-        if parallelism is not None:
-            self.parallelism = parallelism
-        if use_processes is not None:
-            self.use_processes = use_processes
-        if shards is not None:
-            self.db.reshard(shards)
         self._materialized()
         batch = self._group_batch(queries)
         return [

@@ -26,7 +26,8 @@ def _canonical_parts(
     Variables are renamed ``v0, v1, ...`` in order of first occurrence
     across the head, the atoms (in order), and the comparisons (sorted by
     their canonical repr after renaming is deterministic enough for our
-    construction order).
+    construction order).  λ-parameters, when present, form a last part
+    (in order): binding a variable makes a different query.
     """
     renaming: dict[Variable, Variable] = {}
 
@@ -51,6 +52,8 @@ def _canonical_parts(
             f"{canon(normalized.right)}"
         )
     parts.extend(sorted(comparison_parts))
+    if query.parameters:
+        parts.append("P:" + ",".join(canon(p) for p in query.parameters))
     return renaming, parts
 
 

@@ -97,11 +97,7 @@ def plan_verification() -> str:
     return _verify_mode
 
 
-def _maybe_verify(
-    plan: QueryPlan,
-    db: Database | None = None,
-    mode: str | None = None,
-) -> QueryPlan:
+def _maybe_verify(plan: QueryPlan, mode: str | None = None) -> QueryPlan:
     """Run the verifier on ``plan`` when the effective mode says so.
 
     The import is deferred: :mod:`repro.analysis` depends on this
@@ -111,7 +107,7 @@ def _maybe_verify(
     if effective == "always":
         from repro.analysis.verifier import verify_plan
 
-        verify_plan(plan, db)
+        verify_plan(plan)
     return plan
 
 
@@ -1073,8 +1069,7 @@ def plan_query(
             bindings,
             pushed=tuple(closure.pushed),
             pushed_ranges=tuple(intervals.pushed),
-        ),
-        db,
+        )
     )
 
 
@@ -1202,10 +1197,8 @@ class QueryPlanner:
         virtual: VirtualRelations | None = None,
     ) -> QueryPlan:
         if query.is_parameterized:
-            # The canonical key ignores λ-parameters, so without this
-            # guard an instantiated sibling's cached plan would silently
-            # evaluate the parameterized query as if its parameters were
-            # free variables.
+            # A plan binds every body variable from the data; it would
+            # evaluate λ-parameters as if they were free variables.
             raise QueryError(
                 f"cannot evaluate parameterized query {query.name}: "
                 "instantiate its λ-parameters first"
@@ -1219,7 +1212,7 @@ class QueryPlanner:
                 self._virtual_fingerprint(query, virtual))
         plan = self._exact_cache.get(query, *tags)
         if plan is not None:
-            return _maybe_verify(plan, self.db, self.verify)
+            return _maybe_verify(plan, self.verify)
         key, renaming = canonical_key_and_renaming(query)
         canonical = self._canonical_cache.get(key, *tags)
         if canonical is None:
@@ -1229,7 +1222,7 @@ class QueryPlanner:
             self._canonical_cache.put(key, canonical, *tags)
         plan = canonical.rebind(query, renaming)
         self._exact_cache.put(query, plan, *tags)
-        return _maybe_verify(plan, self.db, self.verify)
+        return _maybe_verify(plan, self.verify)
 
     def plan_union(
         self,

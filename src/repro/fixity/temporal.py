@@ -255,8 +255,6 @@ class TemporalCitationEngine:
         self,
         query: ConjunctiveQuery | str,
         tag: str,
-        parallelism: int = 1,
-        use_processes: bool = False,
     ) -> list[tuple[Any, ...]]:
         """Evaluate a base-schema query against one snapshot, planned.
 
@@ -264,11 +262,7 @@ class TemporalCitationEngine:
         original snapshot database directly.
         """
         return evaluate_query(
-            self.tagged(query, tag),
-            self.db,
-            planner=self.planner,
-            parallelism=parallelism,
-            use_processes=use_processes,
+            self.tagged(query, tag), self.db, planner=self.planner
         )
 
     def explain(self, query: ConjunctiveQuery | str, tag: str) -> str:

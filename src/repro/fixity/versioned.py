@@ -179,8 +179,6 @@ class VersionedCitationEngine:
         self,
         query: ConjunctiveQuery | str,
         version: Version | str | int | None = None,
-        parallelism: int = 1,
-        use_processes: bool = False,
     ) -> list[tuple[Any, ...]]:
         """Evaluate a query against a committed version, planned.
 
@@ -192,13 +190,7 @@ class VersionedCitationEngine:
             query = parse_query(query)
         resolved = self.versioned.resolve(version)
         engine = self._engine_for(resolved)
-        return evaluate_query(
-            query,
-            engine.db,
-            planner=engine.planner,
-            parallelism=parallelism,
-            use_processes=use_processes,
-        )
+        return evaluate_query(query, engine.db, planner=engine.planner)
 
     def explain(
         self,

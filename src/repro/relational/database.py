@@ -130,100 +130,12 @@ def sorted_index_slice(index: SortedIndex, interval: Interval) -> list[Any] | No
     return rows[start:stop]
 
 
-class RelationShard:
-    """One storage partition of a relation extension.
-
-    A shard owns a disjoint subset of its relation's rows, its own
-    incrementally maintained :class:`RelationStatistics`, and its own
-    lazily built hash indexes whose buckets carry ``(ordinal, row)``
-    pairs — the ordinal is the row's global insertion number within the
-    relation, which is what lets shard-parallel scans and probes merge
-    back into the exact serial iteration order (see
-    :mod:`repro.cq.parallel`).  Rows are kept in ordinal order (inserts
-    append, deletes remove, a delete + re-insert gets a fresh larger
-    ordinal), so plain dict iteration is already merge-ready.
-    """
-
-    __slots__ = ("arity", "stats", "rows", "_indexes")
-
-    def __init__(self, arity: int) -> None:
-        self.arity = arity
-        self.stats = RelationStatistics(arity)
-        #: row -> global insertion ordinal, in ascending ordinal order.
-        self.rows: dict[Row, int] = {}
-        self._indexes: dict[
-            tuple[int, ...], dict[tuple[Any, ...], list[tuple[int, Row]]]
-        ] = {}
-
-    def add(self, row: Row, ordinal: int) -> None:
-        self.rows[row] = ordinal
-        self.stats.add_row(row.values)
-        for positions, index in self._indexes.items():
-            index.setdefault(row.project(positions), []).append((ordinal, row))
-
-    def remove(self, row: Row) -> None:
-        ordinal = self.rows.pop(row)
-        self.stats.remove_row(row.values)
-        for positions, index in self._indexes.items():
-            bucket_key = row.project(positions)
-            bucket = index.get(bucket_key)
-            if bucket is not None:
-                bucket.remove((ordinal, row))
-                if not bucket:
-                    del index[bucket_key]
-
-    def bulk_load(self, pairs: Sequence[tuple[Row, int]]) -> None:
-        """Absorb ``(row, ordinal)`` pairs (ordinal-ascending) in bulk."""
-        self._indexes.clear()
-        self.rows.update(pairs)
-        self.stats.add_rows([row.values for row, __ in pairs])
-
-    def clear_indexes(self) -> None:
-        self._indexes.clear()
-
-    def ensure_index(self, positions: tuple[int, ...]) -> None:
-        """Build (and cache) this shard's hash index on ``positions``."""
-        if positions and positions not in self._indexes:
-            index: dict[tuple[Any, ...], list[tuple[int, Row]]] = {}
-            for row, ordinal in self.rows.items():
-                index.setdefault(row.project(positions), []).append(
-                    (ordinal, row)
-                )
-            self._indexes[positions] = index
-
-    def lookup_pairs(
-        self, positions: tuple[int, ...], values: tuple[Any, ...]
-    ) -> list[tuple[int, tuple[Any, ...]]]:
-        """``(ordinal, values)`` of rows matching the probe, ordinal-ascending."""
-        self.ensure_index(positions)
-        return [
-            (ordinal, row.values)
-            for ordinal, row in self._indexes[positions].get(values, ())
-        ]
-
-    def ordinal_pairs(self) -> list[tuple[int, tuple[Any, ...]]]:
-        """``(ordinal, values)`` of every row, ordinal-ascending."""
-        return [(ordinal, row.values) for row, ordinal in self.rows.items()]
-
-
 class RelationInstance:
-    """The extension of one relation: an insertion-ordered set of rows.
-
-    With ``shards > 1`` the extension is additionally partitioned into
-    :class:`RelationShard` objects — by hash of the primary-key
-    projection when the schema declares a key, round-robin on the
-    insertion ordinal otherwise.  Every aggregate structure (row dict,
-    indexes, statistics) is maintained exactly as in the unsharded case,
-    so serial probes and planner estimates are byte-identical at any
-    shard count; the shards only *add* partition-local rows, indexes and
-    statistics for the shard-parallel executor, and the aggregate
-    statistics always equal the merge of the per-shard statistics.
-    """
+    """The extension of one relation: an insertion-ordered set of rows."""
 
     def __init__(
         self,
         schema: RelationSchema,
-        shards: int = 1,
         owner: "Database | None" = None,
     ) -> None:
         self.schema = schema
@@ -232,17 +144,10 @@ class RelationInstance:
         self._key_positions = (
             tuple(schema.key_positions()) if schema.key else None
         )
-        #: row -> global insertion ordinal; dict order is ordinal order
-        #: (inserts append, deletes remove, re-inserts get fresh
-        #: ordinals), which the shard-merge executor relies on.
-        self._rows: dict[Row, int] = {}
-        self._next_ordinal = 0
-        self._nshards = max(1, shards)
-        self._shards: list[RelationShard] = (
-            [RelationShard(schema.arity) for __ in range(self._nshards)]
-            if self._nshards > 1
-            else []
-        )
+        #: The rows as dict keys, in insertion order (deletes remove, a
+        #: re-insert appends): binding order, and with it the planned ≡
+        #: reference order property, follows this order.
+        self._rows: dict[Row, None] = {}
         self._key_index: dict[tuple[Any, ...], Row] = {}
         # Secondary hash indexes, built lazily: positions -> {values: [rows]}
         self._indexes: dict[tuple[int, ...], dict[tuple[Any, ...], list[Row]]] = {}
@@ -256,8 +161,6 @@ class RelationInstance:
             tuple[tuple[int, ...], int], CompositeIndex
         ] = {}
 
-    # -- sharding -------------------------------------------------------------
-
     def _note_mutation(self, count: int) -> None:
         """Report effective mutations to the owning database's version."""
         if self._owner is not None:
@@ -267,71 +170,6 @@ class RelationInstance:
                 # and the next version-keyed cache serve reports it.
                 _sanitizer.note_effective_mutations(self._owner, count)
             self._owner._note_stats_mutations(count)
-
-    def _shard_of(self, row: Row, ordinal: int) -> int:
-        """Which shard owns ``row``: key hash, or round-robin when keyless."""
-        if self._key_positions is not None:
-            return hash(row.project(self._key_positions)) % self._nshards
-        return ordinal % self._nshards
-
-    @property
-    def shard_count(self) -> int:
-        """Number of storage partitions (1 = unsharded)."""
-        return self._nshards
-
-    def reshard(self, shards: int) -> None:
-        """Repartition the extension into ``shards`` storage shards.
-
-        Rows, aggregate indexes and aggregate statistics are untouched
-        (the data is unchanged, so no cache invalidation is needed);
-        per-shard indexes are dropped and rebuild lazily.
-        """
-        shards = max(1, int(shards))
-        if shards == self._nshards:
-            return
-        self._nshards = shards
-        if shards == 1:
-            self._shards = []
-            return
-        self._shards = [
-            RelationShard(self.schema.arity) for __ in range(shards)
-        ]
-        grouped: list[list[tuple[Row, int]]] = [[] for __ in range(shards)]
-        for row, ordinal in self._rows.items():
-            grouped[self._shard_of(row, ordinal)].append((row, ordinal))
-        for shard, pairs in zip(self._shards, grouped):
-            shard.bulk_load(pairs)
-
-    def shard_statistics(self) -> list[RelationStatistics]:
-        """Per-shard statistics (the aggregate equals their merge)."""
-        if self._nshards == 1:
-            return [self.stats]
-        return [shard.stats for shard in self._shards]
-
-    def shard_ordinal_pairs(self, shard: int) -> list[tuple[int, tuple[Any, ...]]]:
-        """One shard's ``(ordinal, values)`` slice, ordinal-ascending."""
-        if self._nshards == 1:
-            return [(ordinal, row.values) for row, ordinal in self._rows.items()]
-        return self._shards[shard].ordinal_pairs()
-
-    def shard_lookup_pairs(
-        self, shard: int, positions: tuple[int, ...], values: tuple[Any, ...]
-    ) -> list[tuple[int, tuple[Any, ...]]]:
-        """``(ordinal, values)`` of one shard's rows matching a hash probe.
-
-        Ordinal-ascending, so merging the per-shard results by ordinal
-        reproduces the aggregate probe's insertion order exactly.  Each
-        shard's index is a shard-local structure, so concurrent workers
-        probing *different* shards never race on index construction.
-        """
-        if not positions:
-            return self.shard_ordinal_pairs(shard)
-        if self._nshards == 1:
-            return [
-                (self._rows[row], row.values)
-                for row in self.lookup(positions, values)
-            ]
-        return self._shards[shard].lookup_pairs(positions, values)
 
     # -- mutation -------------------------------------------------------------
 
@@ -363,9 +201,7 @@ class RelationInstance:
                     f"duplicate key {key_value!r} in relation {self.schema.name!r}: "
                     f"existing row {existing!r}, new row {row!r}"
                 )
-        ordinal = self._next_ordinal
-        self._next_ordinal += 1
-        self._rows[row] = ordinal
+        self._rows[row] = None
         self.stats.add_row(row.values)
         if self._key_positions is not None:
             self._key_index[row.project(self._key_positions)] = row
@@ -375,8 +211,6 @@ class RelationInstance:
             self._sorted_insert(position, row)
         for key in self._composite_indexes:
             self._composite_insert(key, row)
-        if self._nshards > 1:
-            self._shards[self._shard_of(row, ordinal)].add(row, ordinal)
         self._note_mutation(1)
         return row
 
@@ -483,7 +317,7 @@ class RelationInstance:
 
         Semantically ``[insert(r) for r in rows]``.  When the batch is
         large relative to the current extension, cached secondary indexes
-        (aggregate and per-shard) are dropped up front instead of being
+        are dropped up front instead of being
         updated row by row — they rebuild lazily on the next probe — and
         statistics are accumulated in one bulk update per column instead
         of one dict update per (row, column) pair, so large loads (and
@@ -500,13 +334,8 @@ class RelationInstance:
         self._indexes.clear()
         self._sorted_indexes.clear()
         self._composite_indexes.clear()
-        for shard in self._shards:
-            shard.clear_indexes()
         out: list[Row] = []
         fresh_values: list[tuple[Any, ...]] = []
-        fresh_shards: list[list[tuple[Row, int]]] = [
-            [] for __ in range(self._nshards)
-        ]
         try:
             for values in batch:
                 row = self._validated_row(values)
@@ -522,25 +351,16 @@ class RelationInstance:
                             f"{self.schema.name!r}: existing row "
                             f"{existing!r}, new row {row!r}"
                         )
-                ordinal = self._next_ordinal
-                self._next_ordinal += 1
-                self._rows[row] = ordinal
+                self._rows[row] = None
                 if self._key_positions is not None:
                     self._key_index[row.project(self._key_positions)] = row
                 fresh_values.append(row.values)
-                if self._nshards > 1:
-                    fresh_shards[self._shard_of(row, ordinal)].append(
-                        (row, ordinal)
-                    )
         finally:
             # Also runs on a mid-batch constraint violation: rows
             # accepted before the offending one stay applied, exactly
             # like the per-row loop, so their statistics must land too.
             if fresh_values:
                 self.stats.add_rows(fresh_values)
-                for shard, pairs in zip(self._shards, fresh_shards):
-                    if pairs:
-                        shard.bulk_load(pairs)
                 self._note_mutation(len(fresh_values))
         return out
 
@@ -550,7 +370,7 @@ class RelationInstance:
             _sanitizer.check_mutation(self._owner or self)
         if row not in self._rows:
             return False
-        ordinal = self._rows.pop(row)
+        del self._rows[row]
         self.stats.remove_row(row.values)
         if self._key_positions is not None:
             self._key_index.pop(row.project(self._key_positions), None)
@@ -564,8 +384,6 @@ class RelationInstance:
             self._sorted_remove(position, row)
         for key in list(self._composite_indexes):
             self._composite_remove(key, row)
-        if self._nshards > 1:
-            self._shards[self._shard_of(row, ordinal)].remove(row)
         self._note_mutation(1)
         return True
 
@@ -589,12 +407,7 @@ class RelationInstance:
         return self._key_index.get(key_value)
 
     def ensure_index(self, positions: tuple[int, ...]) -> None:
-        """Build (and cache) the hash index on ``positions`` now.
-
-        :meth:`lookup` does this lazily on first probe; the parallel
-        executor warms indexes up front so concurrent shard workers never
-        race to build the same one.
-        """
+        """Build (and cache) the hash index on ``positions``."""
         if positions and positions not in self._indexes:
             index: dict[tuple[Any, ...], list[Row]] = {}
             for row in self._rows:
@@ -612,12 +425,10 @@ class RelationInstance:
         return list(self._indexes[positions].get(values, ()))
 
     def ensure_sorted_index(self, position: int) -> SortedIndex | None:
-        """Build (and cache) the sorted index on ``position`` now.
+        """Build (and cache) the sorted index on ``position``.
 
         Returns the index, or ``None`` (also cached) when the column
-        mixes incomparable types.  :meth:`range_lookup` builds lazily;
-        the parallel executor warms indexes up front so shard workers
-        never race to build the same one.
+        mixes incomparable types.
         """
         if position not in self._sorted_indexes:
             self._sorted_indexes[position] = build_sorted_index(
@@ -642,12 +453,7 @@ class RelationInstance:
     def ensure_composite_index(
         self, positions: tuple[int, ...], order_position: int
     ) -> CompositeIndex:
-        """Build (and cache) the composite index ``positions`` × ``order_position``.
-
-        :meth:`composite_lookup` builds lazily; the parallel executor
-        warms composite indexes up front so shard workers never race to
-        build the same one.
-        """
+        """Build (and cache) the composite index ``positions`` × ``order_position``."""
         key = (positions, order_position)
         index = self._composite_indexes.get(key)
         if index is None:
@@ -678,40 +484,19 @@ class RelationInstance:
         index = self.ensure_composite_index(positions, order_position)
         return composite_index_slice(index, values, interval)
 
-    def _load_trusted(self, rows: Iterable[Sequence[Any]]) -> None:
-        """Adopt already-validated value tuples (worker-side rebuilds).
-
-        Used by :meth:`Database.from_projection` to reconstruct a plan
-        suffix's relations inside a process-pool worker from shipped
-        value tuples.  The values came out of a validated instance, so
-        arity/domain/key checks, key indexes and statistics are all
-        skipped — the rebuilt instance serves plan execution (scans and
-        index probes) only.
-        """
-        for values in rows:
-            self._rows[Row(self.schema.name, values)] = self._next_ordinal
-            self._next_ordinal += 1
-
     def __repr__(self) -> str:
         return f"RelationInstance({self.schema.name!r}, {len(self)} rows)"
 
 
 class Database:
-    """A database instance over a fixed schema.
+    """A database instance over a fixed schema."""
 
-    ``shards`` partitions every relation's storage into that many
-    :class:`RelationShard` slices (see :class:`RelationInstance`);
-    ``shards=1`` — the default — is the plain unsharded layout.
-    """
-
-    def __init__(self, schema: Schema, shards: int = 1) -> None:
+    def __init__(self, schema: Schema) -> None:
         schema.validate()
         self.schema = schema
-        self.shards = max(1, shards)
         self._stats_version = 0
         self._instances: dict[str, RelationInstance] = {
-            rel.name: RelationInstance(rel, shards=self.shards, owner=self)
-            for rel in schema
+            rel.name: RelationInstance(rel, owner=self) for rel in schema
         }
 
     # -- access ---------------------------------------------------------------
@@ -748,55 +533,6 @@ class Database:
         """Called by owned instances after each effective mutation."""
         self._stats_version += count
 
-    def reshard(self, shards: int) -> None:
-        """Repartition every relation into ``shards`` storage shards.
-
-        The data (and therefore every planner estimate and cached plan)
-        is unchanged; only the partition-local structures are rebuilt.
-        """
-        shards = max(1, int(shards))
-        if shards == self.shards:
-            return
-        self.shards = shards
-        for instance in self._instances.values():
-            instance.reshard(shards)
-
-    def project_for_plan(self, plan: Any, from_step: int = 0) -> dict[str, list[tuple[Any, ...]]]:
-        """Extensions of only the base relations a plan suffix touches.
-
-        ``plan`` is a :class:`~repro.cq.plan.QueryPlan`; the projection
-        covers ``plan.steps[from_step:]`` and maps relation name to the
-        rows' value tuples in insertion order.  The parallel executor
-        ships this — instead of a pickled copy of the whole database —
-        to process-pool workers, which rebuild it with
-        :meth:`from_projection`.
-        """
-        names = {
-            step.atom.relation
-            for step in plan.steps[from_step:]
-            if not step.virtual
-        }
-        return {
-            name: [row.values for row in self._instances[name]]
-            for name in names
-        }
-
-    @classmethod
-    def from_projection(
-        cls, schema: Schema, relations: dict[str, list[tuple[Any, ...]]]
-    ) -> "Database":
-        """Rebuild a worker-side database from projected extensions.
-
-        The inverse of :meth:`project_for_plan`: the values were already
-        validated by the parent's instances, so constraint checks, key
-        indexes and statistics are skipped — the result serves plan
-        execution (scans and index probes) only.
-        """
-        db = cls(schema)
-        for name, rows in relations.items():
-            db._instances[name]._load_trusted(rows)
-        return db
-
     # -- mutation ---------------------------------------------------------------
 
     def insert(self, relation: str, *values: Any) -> Row:
@@ -822,8 +558,14 @@ class Database:
         }
 
     def delete(self, relation: str, *values: Any) -> bool:
-        """Delete a tuple from ``relation``; returns True if present."""
-        return self.relation(relation).delete(Row(relation, values))
+        """Delete a tuple from ``relation``; returns True if present.
+
+        ``values`` are arity- and domain-checked exactly like
+        :meth:`insert`'s, raising :class:`ArityError` /
+        :class:`TypeMismatchError` instead of answering "absent".
+        """
+        instance = self.relation(relation)
+        return instance.delete(instance._validated_row(values))
 
     # -- integrity ---------------------------------------------------------------
 
@@ -853,10 +595,9 @@ class Database:
 
         Each relation is rebuilt through the bulk :meth:`RelationInstance
         .insert_many` path, so copying pays one statistics update per
-        column instead of per-row index/statistics maintenance.  The
-        clone keeps the source's shard count.
+        column instead of per-row index/statistics maintenance.
         """
-        clone = Database(self.schema, shards=self.shards)
+        clone = Database(self.schema)
         for name, instance in self._instances.items():
             clone.relation(name).insert_many(
                 [row.values for row in instance], enforce_key=False

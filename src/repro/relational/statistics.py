@@ -248,57 +248,6 @@ class RelationStatistics:
         for counter, column in zip(self._column_counts, zip(*batch)):
             counter.update(column)
 
-    @classmethod
-    def merged(
-        cls, parts: Sequence["RelationStatistics"], arity: int
-    ) -> "RelationStatistics":
-        """Combine per-shard statistics into whole-relation statistics.
-
-        Shards partition the rows, so cardinalities and per-value
-        frequencies simply add; the merge therefore equals the
-        statistics an unsharded instance would have accumulated (the
-        property suite asserts this), which is why sharding never
-        changes the planner's estimates.
-        """
-        merged = cls(arity)
-        for part in parts:
-            if part.arity != arity:
-                raise ValueError(
-                    f"cannot merge statistics of arity {part.arity} "
-                    f"into arity {arity}"
-                )
-            merged.cardinality += part.cardinality
-            merged.version += part.version
-            for counter, other in zip(
-                merged._column_counts, part._column_counts
-            ):
-                counter.update(other)
-        return merged
-
-    def matches_partition(
-        self, parts: Sequence["RelationStatistics"]
-    ) -> bool:
-        """Whether ``parts`` still partition these aggregate statistics.
-
-        True when the shard cardinalities sum to the aggregate and every
-        per-column frequency adds up, i.e. no shard has lost or
-        duplicated a row relative to the whole.  The concurrency
-        sanitizer checks this before seeding a parallel fan-out from the
-        shards.
-        """
-        if sum(part.cardinality for part in parts) != self.cardinality:
-            return False
-        if any(part.arity != self.arity for part in parts):
-            return False
-        for position, counter in enumerate(self._column_counts):
-            combined: Counter = Counter()
-            for part in parts:
-                combined.update(part._column_counts[position])
-            combined += Counter()  # drop zero entries, as remove_row does
-            if combined != +counter:
-                return False
-        return True
-
     def remove_row(self, values: Sequence[Any]) -> None:
         """Retract one row's contribution.
 
@@ -491,21 +440,6 @@ class RelationStatistics:
             f"RelationStatistics(cardinality={self.cardinality}, "
             f"distinct=[{distinct}])"
         )
-
-
-def shard_cardinalities(total: int, shards: int) -> list[int]:
-    """Split a cardinality into balanced per-shard shares.
-
-    The parallel executor (:mod:`repro.cq.parallel`) partitions the first
-    join step's probe results into contiguous shards; this is the split
-    arithmetic it uses, shared here so cost reporting and the partitioner
-    agree.  Sizes differ by at most one and sum to ``total``; trailing
-    shards may be 0 when ``total < shards`` (the partitioner drops those).
-    """
-    if shards <= 0:
-        raise ValueError(f"shards must be positive, got {shards}")
-    base, extra = divmod(max(0, total), shards)
-    return [base + 1 if i < extra else base for i in range(shards)]
 
 
 def statistics_of(rows: Sequence[Sequence[Any]], arity: int) -> RelationStatistics:

@@ -32,14 +32,24 @@ STRING = AttributeType.STRING
 BOOL = AttributeType.BOOL
 ANY = AttributeType.ANY
 
+
+def _hashable(value: Any) -> bool:
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
+
+
 # Values accepted by each domain.  bool is a subclass of int in Python, so
-# the INT check must exclude bool explicitly.
+# the INT check must exclude bool explicitly.  ANY admits every hashable
+# value: stored rows key the relation's row dict and its indexes.
 _CHECKERS = {
     AttributeType.INT: lambda v: isinstance(v, int) and not isinstance(v, bool),
     AttributeType.FLOAT: lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
     AttributeType.STRING: lambda v: isinstance(v, str),
     AttributeType.BOOL: lambda v: isinstance(v, bool),
-    AttributeType.ANY: lambda v: True,
+    AttributeType.ANY: _hashable,
 }
 
 

@@ -1,7 +1,7 @@
 """The asyncio citation service: one warm engine serving all traffic.
 
 The library-shaped engine pays its expensive warm-up — plan cache,
-rewriting cache, sub-plan memo, secondary/composite indexes, per-shard
+rewriting cache, sub-plan memo, secondary/composite indexes, relation
 statistics — once per *process*; this package turns that process into a
 long-running HTTP service so the warm state amortizes across every
 client (``repro serve`` on the CLI).  Layers:

@@ -175,8 +175,8 @@ def render_response(
 ) -> bytes:
     """Serialize one response.  ``payload`` is JSON-encoded unless a raw
     ``body`` is given; the default JSON rendering is deterministic
-    (insertion order, compact separators), which the sharded ≡ serial
-    byte-identity tests rely on."""
+    (insertion order, compact separators), which the byte-for-byte
+    reply comparisons rely on."""
     if body is None:
         body = b"" if payload is None else (
             json.dumps(payload, default=str).encode("utf-8") + b"\n"

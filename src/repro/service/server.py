@@ -3,7 +3,7 @@
 ``repro serve`` starts a long-running HTTP front end over a single
 shared :class:`~repro.citation.generator.CitationEngine`, so the
 expensive warm state — plan cache, rewriting cache, sub-plan memo,
-secondary/composite indexes, per-shard statistics — amortizes across
+secondary/composite indexes, relation statistics — amortizes across
 *all* traffic instead of dying with every consumer process.  Endpoints
 (all JSON over HTTP/1.1; see ``docs/service.md`` for schemas):
 
@@ -16,7 +16,7 @@ secondary/composite indexes, per-shard statistics — amortizes across
 ``POST /insert``          insert rows; graceful cache invalidation
 ``POST /delete``          delete rows; graceful cache invalidation
 ``GET /stats``            cache hit/miss/eviction counters, sub-plan memo
-                          reservations, shipped bytes, latency histograms
+                          reservations, latency histograms
 ``GET /healthz``          liveness (``{"status": "ok"}``)
 ========================  ====================================================
 
@@ -37,6 +37,7 @@ import logging
 import signal
 import threading
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Any
 
@@ -151,6 +152,24 @@ def cite_mixed(
         else next(batched)
         for query in queries
     ]
+
+
+@contextlib.contextmanager
+def _invalidating(engine: CitationEngine) -> Iterator[None]:
+    """Invalidate the engine's data-derived state after a mutation job.
+
+    Runs whenever ``stats_version`` moved, also when the job raises
+    after applying some rows (``insert_many``/per-row deletes keep the
+    rows applied before the failing one), so no view materialized before
+    the mutation is served after it.  The version bump alone makes the
+    version-aware caches (plans, sub-plan memo) refuse stale entries.
+    """
+    version = engine.db.stats_version
+    try:
+        yield
+    finally:
+        if engine.db.stats_version != version:
+            engine.invalidate_data()
 
 
 class _Connection:
@@ -569,14 +588,10 @@ class CitationService:
         engine = self.engine
 
         def job() -> int:
-            inserted = engine.db.insert_all(
-                relation, [tuple(row) for row in rows]
-            )
-            # Graceful invalidation: the stats_version bump makes the
-            # version-aware caches (plans, sub-plan memo) lazily refuse
-            # stale entries; only data-derived materializations drop.
-            engine.invalidate_data()
-            return len(inserted)
+            with _invalidating(engine):
+                return len(engine.db.insert_all(
+                    relation, [tuple(row) for row in rows]
+                ))
 
         count = await self._bounded(self.lane.submit(job))
         return 200, {
@@ -592,13 +607,10 @@ class CitationService:
         engine = self.engine
 
         def job() -> int:
-            deleted = sum(
-                1 for row in rows
-                if engine.db.delete(relation, *row)
-            )
-            if deleted:
-                engine.invalidate_data()
-            return deleted
+            with _invalidating(engine):
+                return sum(
+                    1 for row in rows if engine.db.delete(relation, *row)
+                )
 
         count = await self._bounded(self.lane.submit(job))
         return 200, {
@@ -621,8 +633,6 @@ class CitationService:
 
     def stats(self) -> dict[str, Any]:
         """The ``/stats`` payload: service + engine-cache observability."""
-        from repro.cq.parallel import SHIPPING
-
         engine = self.engine
         return {
             "service": self.metrics.snapshot(),
@@ -633,17 +643,12 @@ class CitationService:
             },
             "engine": {
                 "stats_version": engine.db.stats_version,
-                "shards": engine.db.shards,
                 "policy": engine.policy.name,
                 "plan_cache": engine.planner.counters(),
                 "rewriting_cache": engine.rewriting_engine.counters(),
                 "subplan_memo": engine.subplan_memo.counters(),
                 "record_cache": engine.record_cache.counters(),
                 "analysis_cache": self.analysis_cache.counters(),
-            },
-            "shipping": {
-                "shipped_bytes": SHIPPING.shipped_bytes,
-                "payloads": getattr(SHIPPING, "payloads", 0),
             },
         }
 

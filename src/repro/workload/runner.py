@@ -50,8 +50,6 @@ class WorkloadReport:
     plan_misses: int = 0
     subplan_hits: int = 0
     subplan_misses: int = 0
-    parallelism: int = 1
-    shards: int = 1
     #: Queries run per class ("cq", "ucq"); absent classes are omitted.
     per_class: dict[str, int] = field(default_factory=dict)
     #: Diagnostic findings per QA code across the workload (populated by
@@ -75,10 +73,6 @@ class WorkloadReport:
 
     def describe(self) -> str:
         suffix = ""
-        if self.parallelism > 1:
-            suffix = f", parallelism={self.parallelism}"
-        if self.shards > 1:
-            suffix += f", shards={self.shards}"
         caches = (
             f"rewriting cache {self.rewriting_hits}/"
             f"{self.rewriting_hits + self.rewriting_misses} hits, "
@@ -118,9 +112,6 @@ def run_workload(
     engine: CitationEngine,
     workload: QueryLog | Sequence[ConjunctiveQuery | UnionQuery | str],
     repeat_frequencies: bool = False,
-    parallelism: int | None = None,
-    use_processes: bool | None = None,
-    shards: int | None = None,
     analyze: bool = False,
 ) -> WorkloadReport:
     """Cite every query of a workload through the batch pipeline.
@@ -147,17 +138,6 @@ def run_workload(
         When the workload is a log and this is True, each entry is cited
         ``frequency`` times — simulating the raw traffic rather than the
         distinct-query set, which is how cache hit rates should be read.
-    parallelism:
-        When given, the shard-and-merge worker count for every rewriting
-        evaluation in the batch (:mod:`repro.cq.parallel`); forwarded to
-        ``cite_batch`` and persisted on the engine.
-    use_processes:
-        When given, use a process pool instead of threads.
-    shards:
-        When given, repartitions the engine database's relation storage
-        into that many shards before the batch (shard-parallel scans
-        and probes, shard-sliced process payloads); forwarded to
-        ``cite_batch`` and persisted on the database.
     analyze:
         When True, run static analysis
         (:mod:`repro.analysis.diagnostics`) over every workload query
@@ -170,7 +150,7 @@ def run_workload(
     -------
     WorkloadReport
         The per-query :class:`~repro.citation.generator.CitationResult`
-        list (in workload order, identical at any parallelism) plus
+        list (in workload order) plus
         timing and cache-effectiveness counters.
     """
     queries: list[ConjunctiveQuery | UnionQuery | str] = []
@@ -213,14 +193,7 @@ def run_workload(
     # then unions through cite_union in place; both pipelines share the
     # same planner, memo, and rewriting cache, so order of execution
     # does not affect results — only which call warms which entry first.
-    batch_results = iter(
-        engine.cite_batch(
-            conjunctive,
-            parallelism=parallelism,
-            use_processes=use_processes,
-            shards=shards,
-        )
-    )
+    batch_results = iter(engine.cite_batch(conjunctive))
     results = [
         engine.cite_union(query) if name == "ucq" else next(batch_results)
         for query, name in zip(queries, classes)
@@ -260,8 +233,6 @@ def run_workload(
         plan_misses=planner.misses - plan_misses_before,
         subplan_hits=memo.hits - subplan_hits_before,
         subplan_misses=memo.misses - subplan_misses_before,
-        parallelism=engine.parallelism,
-        shards=engine.db.shards,
         per_class=per_class,
         diagnostics=diagnostics,
     )

@@ -1,4 +1,4 @@
-"""RL104 fixture: shard-internal attribute access outside relational/.
+"""RL104 fixture: storage-internal attribute access outside relational/.
 
 Deliberately violating file — the lint self-test asserts RL104 flags
 it.  Never imported; excluded from ruff (see pyproject.toml).
@@ -11,9 +11,11 @@ def count_rows_badly(db, relation):
     return len(instance._rows)
 
 
-def peek_shards_badly(instance):
-    # VIOLATION: shard list is an internal of the relational layer.
-    return [len(shard.rows) for shard in instance._shards]
+def peek_indexes_badly(instance):
+    # VIOLATION: the lazily built hash indexes are internals of the
+    # relational layer.
+    return {positions: len(index) for positions, index in
+            instance._indexes.items()}
 
 
 class FineInternally:

@@ -50,10 +50,10 @@ class TestRules:
         assert len(findings) == 2  # submit + submit_cite, not the await
 
     def test_rl104_flags_external_internal_access(self):
-        findings = lint_file(FIXTURES / "rl104_shard_internals.py")
+        findings = lint_file(FIXTURES / "rl104_storage_internals.py")
         assert codes(findings) == ["RL104"]
         flagged = {f.message.split("`")[1] for f in findings}
-        assert flagged == {"_rows", "_shards"}  # self._rows is fine
+        assert flagged == {"_rows", "_indexes"}  # self._rows is fine
 
     def test_rl105_flags_bare_and_swallowing_excepts(self):
         findings = lint_file(FIXTURES / "rl105_bare_except.py")

@@ -18,14 +18,11 @@ from repro.analysis.sanitizer import (
 )
 from repro.citation.generator import CitationEngine
 from repro.cq import evaluation
-from repro.cq.parallel import execute_plan_parallel
 from repro.cq.parser import parse_query
-from repro.cq.plan import plan_query
 from repro.cq.subplan import SubplanMemo
 from repro.gtopdb.sample import paper_database
 from repro.gtopdb.views import paper_views
-from repro.relational.database import Database, RelationInstance
-from repro.relational.schema import RelationSchema, Schema
+from repro.relational.database import Database
 from repro.service.batcher import EngineLane
 from repro.views.registry import ViewRegistry
 
@@ -192,65 +189,6 @@ class TestEventLoopBlocking:
         assert err.value.check == "event-loop-blocking", (
             "the sanitizer FAILED to catch blocking socket I/O on the "
             "event loop"
-        )
-
-
-class TestOrdinalMergeDisorder:
-    """Kill: a shard merge that breaks insertion-ordinal order."""
-
-    @pytest.fixture
-    def sharded_db(self):
-        schema = Schema([
-            RelationSchema("Big", ["a", "b"]),
-            RelationSchema("Small", ["b", "c"]),
-        ])
-        db = Database(schema, shards=3)
-        db.insert_batch({
-            "Big": [(i, i % 10) for i in range(120)],
-            "Small": [(b, b * 2) for b in range(10)],
-        })
-        return db
-
-    def test_disordered_shard_pairs_are_caught(
-        self, active, sharded_db, monkeypatch
-    ):
-        real = RelationInstance.shard_lookup_pairs
-
-        def disordered(self, shard, positions, values):
-            return list(reversed(real(self, shard, positions, values)))
-
-        monkeypatch.setattr(
-            RelationInstance, "shard_lookup_pairs", disordered
-        )
-        plan = plan_query(
-            parse_query("Q(A, C) :- Big(A, B), Small(B, C)"), sharded_db
-        )
-        with pytest.raises(ConcurrencySanitizerError) as err:
-            list(execute_plan_parallel(
-                plan, sharded_db, parallelism=2, min_partition=1
-            ))
-        assert err.value.check == "ordinal-merge", (
-            "the sanitizer FAILED to catch an out-of-order shard merge"
-        )
-
-    def test_corrupted_shard_partition_is_caught(
-        self, active, sharded_db
-    ):
-        plan = plan_query(
-            parse_query("Q(A, C) :- Big(A, B), Small(B, C)"), sharded_db
-        )
-        # Corrupt one shard of the relation the plan seeds from: the
-        # per-shard counts no longer merge to the aggregate (a
-        # lost/duplicated row).
-        instance = sharded_db.relation(plan.steps[0].atom.relation)
-        instance._shards[0].stats.cardinality += 1
-        with pytest.raises(ConcurrencySanitizerError) as err:
-            list(execute_plan_parallel(
-                plan, sharded_db, parallelism=2, min_partition=1
-            ))
-        assert err.value.check == "shard-partition", (
-            "the sanitizer FAILED to catch shard statistics that no "
-            "longer partition the aggregate"
         )
 
 

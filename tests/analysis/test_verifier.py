@@ -45,9 +45,9 @@ def replace_step(plan, index, **changes):
     return dataclasses.replace(plan, steps=tuple(steps))
 
 
-def assert_killed(plan, db, *needles):
+def assert_killed(plan, *needles):
     with pytest.raises(PlanVerificationError) as excinfo:
-        verify_plan(plan, db)
+        verify_plan(plan)
     rendered = str(excinfo.value)
     assert "step" in rendered
     for needle in needles:
@@ -58,7 +58,7 @@ def assert_killed(plan, db, *needles):
 class TestSoundPlansPass:
     def test_join_plan(self, db):
         q = parse_query("Q(A, C) :- Big(A, B), Small(B, C)")
-        assert check_plan(plan_query(q, db), db) == []
+        assert check_plan(plan_query(q, db)) == []
 
     def test_pushdown_plans(self, db):
         for text in [
@@ -70,7 +70,7 @@ class TestSoundPlansPass:
             "Q(A, C) :- Big(A, B), Small(B, C), B >= 1, C = 100",
         ]:
             plan = plan_query(parse_query(text), db)
-            assert check_plan(plan, db) == [], text
+            assert check_plan(plan) == [], text
 
     def test_empty_plans(self, db):
         for text in [
@@ -80,7 +80,7 @@ class TestSoundPlansPass:
         ]:
             plan = plan_query(parse_query(text), db)
             assert plan.empty
-            assert check_plan(plan, db) == [], text
+            assert check_plan(plan) == [], text
 
     def test_rebound_plans(self, db):
         planner = QueryPlanner(db, verify="always")
@@ -88,18 +88,18 @@ class TestSoundPlansPass:
         second = planner.plan(parse_query("Q(A) :- Big(A, B), B = 1"))
         assert planner.hits >= 1  # the second went through rebinding
         for plan in (first, second):
-            assert check_plan(plan, db) == []
+            assert check_plan(plan) == []
 
     def test_union_plans(self, db):
         union = parse_union_query(
             "Q(A) :- Big(A, B), B = 1\nQ(A) :- Small(A, C)"
         )
         plans = union.plan(db)
-        assert verify_plans(plans, db) is plans
+        assert verify_plans(plans) is plans
 
     def test_verify_plan_returns_the_plan(self, db):
         plan = plan_query(parse_query("Q(A) :- Big(A, B)"), db)
-        assert verify_plan(plan, db) is plan
+        assert verify_plan(plan) is plan
 
 
 class TestMutationKill:
@@ -109,13 +109,13 @@ class TestMutationKill:
         q = parse_query("Q(A, C) :- Big(A, B), Small(B, C)")
         plan = plan_query(q, db)
         bad = dataclasses.replace(plan, steps=(plan.steps[1], plan.steps[0]))
-        assert_killed(bad, db, "step 1", "not bound by any prior step")
+        assert_killed(bad, "step 1", "not bound by any prior step")
 
     def test_dropped_residual(self, db):
         q = parse_query("Q(A, B) :- Big(A, B), A > B")
         plan = plan_query(q, db)
         bad = replace_step(plan, 0, comparisons=())
-        assert_killed(bad, db, "step 1", "dropped")
+        assert_killed(bad, "step 1", "dropped")
 
     def test_double_applied_residual(self, db):
         q = parse_query("Q(A, C) :- Big(A, B), Small(B, C), A > C")
@@ -127,7 +127,7 @@ class TestMutationKill:
         bad = replace_step(
             plan, index, comparisons=step.comparisons + step.comparisons
         )
-        assert_killed(bad, db, "double-applied")
+        assert_killed(bad, "double-applied")
 
     def test_foreign_residual(self, db):
         from repro.cq.atoms import ComparisonAtom
@@ -139,7 +139,7 @@ class TestMutationKill:
             Variable("A"), ComparisonOp.LT, Constant(10)
         )
         bad = replace_step(plan, 0, comparisons=(foreign,))
-        assert_killed(bad, db, "step 1", "does not belong to the query")
+        assert_killed(bad, "step 1", "does not belong to the query")
 
     def test_residual_scheduled_before_bound(self, db):
         q = parse_query("Q(A, C) :- Big(A, B), Small(B, C), A > C")
@@ -150,7 +150,7 @@ class TestMutationKill:
         )
         bad = replace_step(plan, 0, comparisons=comparisons)
         bad = replace_step(bad, 1, comparisons=())
-        assert_killed(bad, db, "step 1", "not bound by this or any prior")
+        assert_killed(bad, "step 1", "not bound by this or any prior")
 
     def test_mislabel_hash_probe_on_free_position(self, db):
         q = parse_query("Q(A, B) :- Big(A, B)")
@@ -162,7 +162,7 @@ class TestMutationKill:
             lookup_terms=(Constant(7),),
             introduces=(plan.steps[0].introduces[1],),
         )
-        assert_killed(bad, db, "step 1", "equality class carries no")
+        assert_killed(bad, "step 1", "equality class carries no")
 
     def test_mislabel_range_on_probed_position(self, db):
         q = parse_query("Q(A) :- Big(A, B), B = 1")
@@ -177,7 +177,7 @@ class TestMutationKill:
             range_position=position,
             range_interval=Interval(lo=0),
         )
-        assert_killed(bad, db, "step 1")
+        assert_killed(bad, "step 1")
 
     def test_range_interval_mismatch(self, db):
         q = parse_query("Q(A) :- Big(A, B), B > 10, B < 40")
@@ -190,7 +190,7 @@ class TestMutationKill:
         from repro.relational.statistics import Interval
 
         bad = replace_step(plan, index, range_interval=Interval(lo=999))
-        assert_killed(bad, db, f"step {index + 1}", "differs from")
+        assert_killed(bad, f"step {index + 1}", "differs from")
 
     def test_range_without_interval(self, db):
         q = parse_query("Q(A) :- Big(A, B), B > 10")
@@ -201,14 +201,14 @@ class TestMutationKill:
             if s.range_position is not None
         )
         bad = replace_step(plan, index, range_interval=None)
-        assert_killed(bad, db, f"step {index + 1}", "set together")
+        assert_killed(bad, f"step {index + 1}", "set together")
 
     def test_dropped_step(self, db):
         q = parse_query("Q(A, C) :- Big(A, B), Small(B, C)")
         plan = plan_query(q, db)
         bad = dataclasses.replace(plan, steps=plan.steps[:1])
         with pytest.raises(PlanVerificationError) as excinfo:
-            verify_plan(bad, db)
+            verify_plan(bad)
         assert "not evaluated by any step" in str(excinfo.value)
 
     def test_duplicated_step(self, db):
@@ -218,7 +218,7 @@ class TestMutationKill:
             plan, steps=plan.steps + (plan.steps[1],)
         )
         with pytest.raises(PlanVerificationError) as excinfo:
-            verify_plan(bad, db)
+            verify_plan(bad)
         assert "evaluated by 2 steps" in str(excinfo.value)
 
     def test_wrong_atom_index(self, db):
@@ -232,14 +232,14 @@ class TestMutationKill:
                 dataclasses.replace(second, atom_index=first.atom_index),
             ),
         )
-        assert_killed(bad, db, "differs from query atom")
+        assert_killed(bad, "differs from query atom")
 
     def test_dropped_pushed_equality(self, db):
         q = parse_query("Q(A) :- Big(A, B), B = 1")
         plan = plan_query(q, db)
         bad = dataclasses.replace(plan, pushed=())
         with pytest.raises(PlanVerificationError) as excinfo:
-            verify_plan(bad, db)
+            verify_plan(bad)
         assert "pushed equalities" in str(excinfo.value)
 
     def test_dropped_pushed_range(self, db):
@@ -247,7 +247,7 @@ class TestMutationKill:
         plan = plan_query(q, db)
         bad = dataclasses.replace(plan, pushed_ranges=())
         with pytest.raises(PlanVerificationError) as excinfo:
-            verify_plan(bad, db)
+            verify_plan(bad)
         assert "pushed ranges" in str(excinfo.value)
 
     def test_bogus_step_pushed_attribution(self, db):
@@ -258,14 +258,14 @@ class TestMutationKill:
         plan = plan_query(q, db)
         bogus = ComparisonAtom(Variable("A"), ComparisonOp.EQ, Constant(3))
         bad = replace_step(plan, 0, pushed=(bogus,))
-        assert_killed(bad, db, "step 1", "no closure absorbed")
+        assert_killed(bad, "step 1", "no closure absorbed")
 
     def test_nonempty_plan_claiming_empty(self, db):
         q = parse_query("Q(A) :- Big(A, B), B = 1")
         plan = plan_query(q, db)
         bad = dataclasses.replace(plan, empty=True,
                                   empty_reason="false ground comparison")
-        violations = check_plan(bad, db)
+        violations = check_plan(bad)
         assert any("carries join steps" in v for v in violations)
         assert any("every ground comparison" in v for v in violations)
 
@@ -273,7 +273,7 @@ class TestMutationKill:
         q = parse_query("Q(A) :- Big(A, B), B = 1, B = 2")
         plan = plan_query(q, db)
         bad = dataclasses.replace(plan, empty_reason="cosmic rays")
-        violations = check_plan(bad, db)
+        violations = check_plan(bad)
         assert any("unknown empty reason" in v for v in violations)
 
     def test_first_step_variable_probe(self, db):
@@ -287,13 +287,35 @@ class TestMutationKill:
             lookup_terms=(Variable("Z"),),
             introduces=step.introduces,
         )
-        assert_killed(bad, db, "step 1")
+        assert_killed(bad, "step 1")
+
+    def test_first_step_probe_on_own_variable(self, db):
+        # A sound first step turned into a probe on the variable it used
+        # to introduce: nothing upstream of step 1 binds anything, so
+        # the probe-boundness rule must reject every first-step probe
+        # term that is not a constant.
+        q = parse_query("Q(A, C) :- Big(A, B), Small(B, C)")
+        plan = plan_query(q, db)
+        step = plan.steps[0]
+        var, position = step.introduces[0]
+        bad = replace_step(
+            plan,
+            0,
+            lookup_positions=step.lookup_positions + (position,),
+            lookup_terms=step.lookup_terms + (var,),
+            introduces=step.introduces[1:],
+        )
+        violations = check_plan(bad)
+        assert (
+            f"step 1: probe variable {var!r} at position {position} is "
+            "not bound by any prior step"
+        ) in violations
 
     def test_uncovered_position(self, db):
         q = parse_query("Q(A) :- Big(A, A)")
         plan = plan_query(q, db)
         bad = replace_step(plan, 0, equal_positions=())
-        assert_killed(bad, db, "step 1",
+        assert_killed(bad, "step 1",
                       "neither probed, introduced, nor equality-checked")
 
     def test_union_disjunct_corruption_is_caught(self, db):
@@ -308,7 +330,7 @@ class TestMutationKill:
             )),),
         )
         with pytest.raises(PlanVerificationError):
-            verify_plans(plans, db)
+            verify_plans(plans)
 
 
 class TestVerifierModes:
@@ -349,7 +371,7 @@ class TestVerifierModes:
         plan = plan_query(q, db)
         bad = dataclasses.replace(plan, steps=(plan.steps[1], plan.steps[0]))
         with pytest.raises(PlanVerificationError) as excinfo:
-            verify_plan(bad, db)
+            verify_plan(bad)
         assert excinfo.value.plan is bad
         assert len(excinfo.value.violations) >= 1
         assert "violation(s)" in str(excinfo.value)

@@ -10,6 +10,7 @@ from repro.citation.cache import (
 )
 from repro.citation.generator import CitationEngine
 from repro.cq.parser import parse_query
+from repro.errors import RewritingError
 from repro.rewriting.engine import RewritingEngine
 
 
@@ -37,6 +38,18 @@ class TestCanonicalKey:
     def test_head_projection_matters(self):
         q1 = parse_query("Q(A) :- R(A, B)")
         q2 = parse_query("Q(B) :- R(A, B)")
+        assert canonical_key(q1) != canonical_key(q2)
+
+    def test_lambda_parameters_matter(self):
+        lam = parse_query("lambda X. Q(N) :- Family(X, N, Ty)")
+        twin = parse_query("Q(N) :- Family(F, N, Ty)")
+        renamed = parse_query("lambda Y. Q(M) :- Family(Y, M, T)")
+        assert canonical_key(lam) != canonical_key(twin)
+        assert canonical_key(lam) == canonical_key(renamed)
+
+    def test_lambda_parameter_order_matters(self):
+        q1 = parse_query("lambda X, Y. Q(N) :- R(X, Y, N)")
+        q2 = parse_query("lambda Y, X. Q(N) :- R(X, Y, N)")
         assert canonical_key(q1) != canonical_key(q2)
 
 
@@ -74,6 +87,19 @@ class TestCachedEngine:
         query = parse_query('Q(N) :- Family(F, N, Ty), Ty = "gpcr"')
         assert [repr(r.query) for r in plain.rewrite(query)] == \
             [repr(r.query) for r in cached.rewrite(query)]
+
+
+class TestLambdaQueries:
+    LAMBDA = "lambda X. Q(N) :- Family(X, N, Ty)"
+    TWIN = "Q(N) :- Family(F, N, Ty)"
+
+    def test_warm_twin_does_not_mask_the_refusal(self, db, registry):
+        engine = CitationEngine(db, registry)
+        with pytest.raises(RewritingError):
+            engine.cite(self.LAMBDA)
+        engine.cite(self.TWIN)
+        with pytest.raises(RewritingError):
+            engine.cite(self.LAMBDA)
 
 
 class TestCacheBound:

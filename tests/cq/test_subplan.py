@@ -173,28 +173,6 @@ class TestExecutePlanShared:
             baseline_b
         assert memo.hits == 1 and memo.misses == 1
 
-    def test_seeded_parallel_matches_serial_order(self):
-        db = make_db()
-        planner = QueryPlanner(db)
-        memo = SubplanMemo()
-        plan_t = planner.plan(parse_query(QUERY_T))
-        plan_u = planner.plan(parse_query(QUERY_U))
-        memo.reserve(prefix_keys(plan_t)[0][1])
-        serial_t = ordered(execute_plan(plan_t, db))
-        serial_u = ordered(execute_plan(plan_u, db))
-        assert ordered(
-            execute_plan_shared(
-                plan_t, db, memo=memo, parallelism=3, min_partition=2
-            )
-        ) == serial_t
-        assert memo.misses == 1
-        assert ordered(
-            execute_plan_shared(
-                plan_u, db, memo=memo, parallelism=3, min_partition=2
-            )
-        ) == serial_u
-        assert memo.hits == 1
-
     def test_nothing_reserved_means_nothing_materialized(self):
         db = make_db()
         memo = SubplanMemo()

@@ -207,4 +207,4 @@ class TestPortal:
 
         engine = CitationEngine(db, paper_registry())
         with pytest.raises(TypeError):
-            GtoPdbPortal(db, engine=engine, parallelism=2)
+            GtoPdbPortal(db, engine=engine, share_subplans=False)

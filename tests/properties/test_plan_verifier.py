@@ -4,7 +4,7 @@ The verifier (:mod:`repro.analysis.verifier`) re-derives the pushdown
 closures and access-path discipline from first principles; if the
 planner and the verifier ever disagree on a random query, one of them
 has a bug. This suite drives random queries — serial, cached/rebound,
-sharded, and union-shaped — through planning and asserts a clean bill
+and union-shaped — through planning and asserts a clean bill
 of health, which is what lets ``--verify-plans`` run over the whole
 test suite without false positives.
 """
@@ -113,14 +113,14 @@ def virtual_relations(draw):
 @given(db=databases(), query=queries(relations=tuple(sorted(BASE_ARITIES))))
 def test_serial_plans_verify(db, query):
     plan = plan_query(query, db)
-    assert check_plan(plan, db) == []
+    assert check_plan(plan) == []
 
 
 @settings(max_examples=80, deadline=None)
 @given(db=databases(), virtual=virtual_relations(), query=queries())
 def test_virtual_relation_plans_verify(db, virtual, query):
     plan = plan_query(query, db, virtual)
-    assert check_plan(plan, db) == []
+    assert check_plan(plan) == []
 
 
 @settings(max_examples=80, deadline=None)
@@ -132,22 +132,8 @@ def test_cached_and_rebound_plans_verify(db, query):
     planner = QueryPlanner(db, verify="always")
     first = planner.plan(query)
     second = planner.plan(query)
-    assert check_plan(first, db) == []
-    assert check_plan(second, db) == []
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    db=databases(),
-    query=queries(relations=tuple(sorted(BASE_ARITIES))),
-    shards=st.integers(2, 4),
-)
-def test_sharded_database_plans_verify(db, query, shards):
-    """Resharding changes shard_lookup_pairs/stats but never the plan
-    contract: plans stay verifiable and ordinal-capable for seeding."""
-    db.reshard(shards)
-    plan = plan_query(query, db)
-    assert check_plan(plan, db) == []
+    assert check_plan(first) == []
+    assert check_plan(second) == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -160,7 +146,7 @@ def test_mixed_type_and_nan_plans_verify(db, query):
     NaN-tolerant comparison accounting (NaN != NaN under value
     equality) and the degraded scan access paths."""
     plan = plan_query(query, db)
-    assert check_plan(plan, db) == []
+    assert check_plan(plan) == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -178,11 +164,11 @@ def test_union_plans_verify(db, disjuncts):
     union = UnionQuery(aligned)
     planner = QueryPlanner(db)
     for plan in union.plan(db, planner=planner):
-        assert check_plan(plan, db) == []
+        assert check_plan(plan) == []
 
 
 @settings(max_examples=60, deadline=None)
 @given(db=databases(), query=queries(relations=tuple(sorted(BASE_ARITIES))))
 def test_verify_plan_is_identity_on_sound_plans(db, query):
     plan = plan_query(query, db)
-    assert verify_plan(plan, db) is plan
+    assert verify_plan(plan) is plan

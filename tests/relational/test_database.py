@@ -92,6 +92,18 @@ class TestDelete:
         database.insert("Family", "1", "B")  # same key, no violation
         assert len(database.relation("Family")) == 1
 
+    def test_arity_checked(self, database):
+        database.insert("Family", "1", "A")
+        with pytest.raises(ArityError):
+            database.delete("Family", "1")
+        assert database.stats_version == 1
+
+    def test_domain_checked(self, database):
+        # An unhashable value is refused by the domain check, not by a
+        # bare TypeError from the row lookup.
+        with pytest.raises(TypeMismatchError):
+            database.delete("Family", [1], "A")
+
 
 class TestLookups:
     def test_key_lookup(self, database):
@@ -145,6 +157,103 @@ class TestCopy:
         clone.insert("Family", "2", "B")
         assert database.total_rows() == 1
         assert clone.total_rows() == 2
+
+
+@pytest.fixture
+def untyped_schema():
+    return Schema([
+        RelationSchema("Keyed", ["k", "v"], key=["k"]),
+        RelationSchema("Plain", ["a", "b"]),
+    ])
+
+
+class TestBulkInsertMany:
+    def test_bulk_path_equals_per_row_semantics(self, untyped_schema):
+        bulk = Database(untyped_schema)
+        slow = Database(untyped_schema)
+        rows = [(i, i % 4) for i in range(200)] + [(0, 0)]  # duplicate
+        returned = bulk.relation("Plain").insert_many(rows)
+        for values in rows:
+            slow.relation("Plain").insert(values)
+        assert len(returned) == len(rows)
+        assert bulk.relation("Plain").rows() == slow.relation("Plain").rows()
+        assert (
+            bulk.relation("Plain").stats._column_counts
+            == slow.relation("Plain").stats._column_counts
+        )
+        assert bulk.stats_version == slow.stats_version
+
+    def test_bulk_key_violation_keeps_prior_rows(self, untyped_schema):
+        db = Database(untyped_schema)
+        rows = [(str(i), i) for i in range(100)] + [("5", 999)]
+        with pytest.raises(KeyViolationError):
+            db.relation("Keyed").insert_many(rows)
+        # Everything before the offending row stayed applied, exactly
+        # like the per-row loop, and its statistics landed.
+        assert len(db.relation("Keyed")) == 100
+        assert db.relation("Keyed").stats.cardinality == 100
+        assert db.stats_version == 100
+
+
+class TestUntypedColumns:
+    def test_unhashable_values_are_type_errors(self, untyped_schema):
+        db = Database(untyped_schema)
+        db.insert("Plain", 1, 2)
+        with pytest.raises(TypeMismatchError):
+            db.insert("Plain", [1], 2)
+        with pytest.raises(TypeMismatchError):
+            db.delete("Plain", 1, {"b": 2})
+        assert db.relation("Plain").rows() == [Row("Plain", (1, 2))]
+
+
+class TestStatsVersion:
+    def test_counter_tracks_effective_mutations(self, untyped_schema):
+        db = Database(untyped_schema)
+        assert db.stats_version == 0
+        db.insert("Plain", 1, 2)
+        db.insert("Plain", 1, 2)  # set-semantics no-op
+        assert db.stats_version == 1
+        db.insert_all("Plain", [(i, 0) for i in range(100)])
+        assert db.stats_version == 101
+        db.relation("Plain").delete(Row("Plain", (1, 2)))
+        db.relation("Plain").delete(Row("Plain", (1, 2)))  # absent no-op
+        assert db.stats_version == 102
+
+    def test_counter_matches_summed_instance_versions(self, untyped_schema):
+        db = Database(untyped_schema)
+        db.insert_all("Plain", [(i, 0) for i in range(80)])
+        db.insert("Keyed", "x", 1)
+        db.relation("Plain").delete(Row("Plain", (3, 0)))
+        assert db.stats_version == sum(
+            inst.stats.version for inst in db.relations()
+        )
+
+    def test_direct_instance_mutations_are_counted(self, untyped_schema):
+        db = Database(untyped_schema)
+        db.relation("Plain").insert((1, 1))
+        assert db.stats_version == 1
+
+
+class TestCopyBulk:
+    def test_copy_preserves_rows_and_order(self, untyped_schema):
+        db = Database(untyped_schema)
+        db.insert_all("Plain", [(i, i % 4) for i in range(120)])
+        db.insert_all("Keyed", [(str(i), i) for i in range(90)])
+        clone = db.copy()
+        for name in ("Plain", "Keyed"):
+            assert clone.relation(name).rows() == db.relation(name).rows()
+            assert (
+                clone.relation(name).stats._column_counts
+                == db.relation(name).stats._column_counts
+            )
+        clone.insert("Plain", 999, 0)
+        assert len(db.relation("Plain")) == 120
+
+    def test_copy_tolerates_keyless_duplicate_free_load(self, untyped_schema):
+        db = Database(untyped_schema)
+        db.insert_all("Keyed", [(str(i), i) for i in range(70)])
+        clone = db.copy()
+        assert clone.relation("Keyed").lookup_key(("5",)) is not None
 
 
 class TestSortedIndexes:

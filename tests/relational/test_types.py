@@ -45,6 +45,11 @@ class TestValueMatches:
         for value in (1, "x", 2.5, True, None, (1, 2)):
             assert value_matches(value, ANY)
 
+    def test_any_rejects_unhashable_values(self):
+        # Stored rows are hashable; a JSON list or object cannot be one.
+        for value in ([1], {"a": 1}, (1, [2])):
+            assert not value_matches(value, ANY)
+
 
 class TestCheckValue:
     def test_raises_on_mismatch(self):

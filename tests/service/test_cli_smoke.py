@@ -70,16 +70,17 @@ class TestServeSmoke:
             code = process.wait(timeout=15)
         assert code == 0  # graceful drain, clean exit
 
-    def test_serve_with_shards(self, project):
-        process, url = start_server(project, "--shards", "3")
+    def test_unhashable_delete_row_is_400(self, project):
+        # The project file declares no column domains, so only the
+        # hashability requirement of stored rows refuses a JSON list.
+        process, url = start_server(project)
         try:
             client = ServiceClient(url)
             try:
-                client.wait_ready()
-                stats = client.stats()
-                assert stats["engine"]["shards"] == 3
-                reply = client.cite(QUERIES[0])
-                assert reply.status == 200
+                reply = client.delete_rows("Family", [[[1], "x", "y"]])
+                assert reply.status == 400
+                assert reply.data["kind"] == "TypeMismatchError"
+                assert client.cite(QUERIES[0]).status == 200
             finally:
                 client.close()
         finally:
@@ -105,10 +106,8 @@ def test_serve_registered_in_parser():
 
     parser = build_parser()
     namespace = parser.parse_args([
-        "serve", "--db", "x.json", "--shards", "4",
-        "--max-pending", "8", "--max-batch", "4",
+        "serve", "--db", "x.json", "--max-pending", "8", "--max-batch", "4",
     ])
-    assert namespace.shards == 4
     assert namespace.max_pending == 8
     namespace = parser.parse_args([
         "replay", "q.txt", "--url", "http://h:1",

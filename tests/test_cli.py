@@ -154,19 +154,14 @@ class TestCiteBatch:
         err = capsys.readouterr().err
         assert "rewriting cache" in err and "plan cache" in err
 
-    def test_parallelism_flag_matches_serial_output(self, project,
-                                                    query_file, capsys):
-        assert main([
-            "cite-batch", str(project), str(query_file),
-        ]) == 0
-        serial = capsys.readouterr().out
-        assert main([
-            "cite-batch", str(project), str(query_file),
-            "--parallelism", "3", "--stats",
-        ]) == 0
-        captured = capsys.readouterr()
-        assert captured.out == serial
-        assert "parallelism=3" in captured.err
+
+class TestExecutionFlags:
+    @pytest.mark.parametrize("command", ["cite-batch", "serve"])
+    def test_help_lists_no_fan_out_flags(self, command, capsys):
+        assert main([command, "--help"]) == 0
+        help_text = capsys.readouterr().out
+        for flag in ("--parallelism", "--processes", "--shards"):
+            assert flag not in help_text
 
 
 class TestErrors:
