@@ -21,7 +21,7 @@ Quickstart::
     result = engine.cite('Q(N) :- Family(F,N,Ty), Ty = "gpcr"')
     print(result.citation())
 
-Package layout (see DESIGN.md for the full inventory):
+Package layout (``docs/index.md`` maps every module):
 
 - :mod:`repro.relational` — in-memory relational engine;
 - :mod:`repro.cq` — conjunctive queries, parsing, evaluation, containment;

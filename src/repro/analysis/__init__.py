@@ -6,10 +6,11 @@ computes):
 - :mod:`repro.analysis.verifier` — a rulebook of structural invariants
   checked against any :class:`~repro.cq.plan.QueryPlan`; violations
   raise :class:`~repro.analysis.verifier.PlanVerificationError` with
-  step-indexed messages.  ``QueryPlanner(verify="always")`` (or the
-  ``REPRO_VERIFY_PLANS=always`` sanitizer switch) runs it on every plan
-  produced, turning the optimizer's implicit correctness contract into
-  machine-checked rules.
+  step-indexed messages.  The process-wide switch
+  (:func:`~repro.cq.plan.set_plan_verification`,
+  ``REPRO_VERIFY_PLANS=always``) runs it on every plan produced, turning
+  the optimizer's implicit correctness contract into machine-checked
+  rules.
 - :mod:`repro.analysis.diagnostics` — stable-coded lint findings
   (``QA1xx`` warnings, ``QA2xx`` errors) for query shapes that are
   legal but almost certainly wrong: cartesian products, contradictory

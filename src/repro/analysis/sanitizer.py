@@ -13,8 +13,7 @@ caches.
 Enable it with any of:
 
 - ``REPRO_SANITIZE=always`` in the environment (read at import);
-- :func:`set_sanitize` (what ``CitationEngine(sanitize="always")``
-  calls);
+- :func:`set_sanitize`;
 - ``pytest --sanitize`` (the repo conftest flips the switch before any
   test runs, mirroring ``--verify-plans``).
 

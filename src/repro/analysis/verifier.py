@@ -37,8 +37,8 @@ mislabeled access paths) is rejected rather than rubber-stamped; the
 mutation-kill suite in ``tests/analysis`` proves each corruption class
 is caught.
 
-Run it everywhere with ``QueryPlanner(verify="always")`` or the
-process-wide switch :func:`repro.cq.plan.set_plan_verification`
+Run it everywhere with the process-wide switch
+:func:`repro.cq.plan.set_plan_verification`
 (``REPRO_VERIFY_PLANS=always`` in the environment seeds the default),
 which the test suite's ``--verify-plans`` option flips to sanitize every
 plan the entire suite produces.

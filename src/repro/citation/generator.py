@@ -22,7 +22,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any
 
-from repro.analysis.sanitizer import set_sanitize
 from repro.citation.cache import CachedRewritingEngine
 from repro.citation.combiners import with_neutral
 from repro.citation.order import absorbing_sum, best_polynomials, normal_form
@@ -45,6 +44,7 @@ from repro.cq.query import ConjunctiveQuery
 from repro.cq.sql_parser import parse_sql
 from repro.cq.subplan import SubplanMemo, reserve_shared_prefixes
 from repro.cq.terms import Constant, Variable
+from repro.cq.ucq import UnionQuery, parse_union_query
 from repro.relational.database import Database
 from repro.rewriting.engine import RewritingEngine
 from repro.rewriting.rewriting import Rewriting
@@ -81,9 +81,13 @@ class TupleCitation:
 
 @dataclass
 class CitationResult:
-    """The citation of a whole query result — ``cite(D, Q, V)``."""
+    """The citation of a whole query result — ``cite(D, Q, V)``.
 
-    query: ConjunctiveQuery
+    ``query`` is the query as submitted: a conjunctive query, or for
+    :meth:`CitationEngine.cite_union` the whole union (every rule).
+    """
+
+    query: ConjunctiveQuery | UnionQuery
     policy: CitationPolicy
     rewritings: tuple[Rewriting, ...]
     tuples: dict[tuple[Any, ...], TupleCitation]
@@ -153,21 +157,12 @@ class CitationEngine:
         (:mod:`repro.cq.subplan`); False keeps per-query evaluation (the
         unshared baseline the batch-overlap benchmark compares against).
         Results are identical either way.
-    verify_plans:
-        Per-engine override of the plan-verification mode
-        (:func:`~repro.cq.plan.set_plan_verification`): ``"always"``
-        runs the structural verifier of :mod:`repro.analysis.verifier`
-        on every plan this engine's planner hands out, ``"off"``
-        disables it, None (the default) defers to the process-wide
-        switch.
-    sanitize:
-        Sets the **process-wide** concurrency-sanitizer mode
-        (:func:`~repro.analysis.sanitizer.set_sanitize`): ``"always"``
-        turns on lane-ownership/affinity checks, independent cache-serve
-        re-validation and event-loop blocking detection for the whole
-        process; ``"off"`` disables
-        them; None (the default) leaves the current mode (seeded from
-        ``REPRO_SANITIZE``) untouched.
+
+    Plan verification and the concurrency sanitizer are process-wide
+    switches (:func:`~repro.cq.plan.set_plan_verification` /
+    ``REPRO_VERIFY_PLANS`` and
+    :func:`~repro.analysis.sanitizer.set_sanitize` /
+    ``REPRO_SANITIZE``), not engine parameters.
 
     Plans for queries with range comparisons run unchanged through this
     engine: the shared :class:`~repro.cq.plan.QueryPlanner` pushes them
@@ -187,13 +182,7 @@ class CitationEngine:
         validate: bool = True,
         max_rewritings: int | None = None,
         share_subplans: bool = True,
-        verify_plans: str | None = None,
-        sanitize: str | None = None,
     ) -> None:
-        if sanitize is not None:
-            # Process-wide, like REPRO_SANITIZE: ownership state is a
-            # property of the whole process, not one engine.
-            set_sanitize(sanitize)
         self.db = db
         self.registry = registry
         self.policy = policy or focused_policy(registry)
@@ -208,10 +197,7 @@ class CitationEngine:
         self.database_citation = database_citation
         #: Shared plan cache: every rewriting of every query evaluated by
         #: this engine reuses plans across α-equivalent structures.
-        #: ``verify_plans="always"`` makes it a sanitizing planner: every
-        #: plan behind every citation is checked against the structural
-        #: rulebook of :mod:`repro.analysis.verifier` before it runs.
-        self.planner = QueryPlanner(db, verify=verify_plans)
+        self.planner = QueryPlanner(db)
         #: Cross-query sub-plan memo: batches evaluate each shared join
         #: prefix once (:mod:`repro.cq.subplan`).
         self.subplan_memo = SubplanMemo()
@@ -331,15 +317,49 @@ class CitationEngine:
             return ProvenancePolynomial.zero()
         if policy.plus_r == "best" and policy.order is not None:
             nonzero = best_polynomials(nonzero, policy.order)
-        if policy.idempotent_plus:
-            combined = idempotent_sum(nonzero)
-        else:
-            combined = ProvenancePolynomial.zero()
-            for polynomial in nonzero:
-                combined = combined.add(polynomial)
+        combined = self._plus(nonzero)
         if policy.order is not None:
             combined = normal_form(combined, policy.order)
         return combined
+
+    def _plus(
+        self, polynomials: Sequence[CitationPolynomial]
+    ) -> CitationPolynomial:
+        """The policy's ``+``: set union when idempotent, else counting."""
+        if self.policy.idempotent_plus:
+            return idempotent_sum(polynomials)
+        combined = ProvenancePolynomial.zero()
+        for polynomial in polynomials:
+            combined = combined.add(polynomial)
+        return combined
+
+    def _aggregate(
+        self,
+        query: ConjunctiveQuery | UnionQuery,
+        rewritings: tuple[Rewriting, ...],
+        tuples: dict[tuple[Any, ...], TupleCitation],
+    ) -> CitationResult:
+        """Def 3.4: ``Agg`` over the per-tuple citations, symbolic and
+        rendered, with the neutral-element database citation."""
+        aggregate = self._plus([tc.polynomial for tc in tuples.values()])
+        if self.policy.order is not None:
+            aggregate = absorbing_sum([aggregate], self.policy.order)
+        aggregated_records = self.policy.agg_combiner(
+            [tc.records for tc in tuples.values()]
+        )
+        if self.policy.include_database_citation:
+            aggregated_records = with_neutral(
+                aggregated_records, self.database_citation
+            )
+        return CitationResult(
+            query=query,
+            policy=self.policy,
+            rewritings=rewritings,
+            tuples=tuples,
+            aggregate_polynomial=aggregate,
+            records=aggregated_records,
+            database_citation=list(self.database_citation),
+        )
 
     # ------------------------------------------------------------------
     # rendering
@@ -444,33 +464,7 @@ class CitationEngine:
             combined = self._combine_rewritings(list(aligned))
             records = self._polynomial_records(combined)
             tuples[output] = TupleCitation(output, aligned, combined, records)
-
-        # Agg (Def 3.4): symbolic aggregate plus rendered records.
-        per_tuple_polynomials = [tc.polynomial for tc in tuples.values()]
-        if self.policy.idempotent_plus:
-            aggregate = idempotent_sum(per_tuple_polynomials)
-        else:
-            aggregate = ProvenancePolynomial.zero()
-            for polynomial in per_tuple_polynomials:
-                aggregate = aggregate.add(polynomial)
-        if self.policy.order is not None:
-            aggregate = absorbing_sum([aggregate], self.policy.order)
-        aggregated_records = self.policy.agg_combiner(
-            [tc.records for tc in tuples.values()]
-        )
-        if self.policy.include_database_citation:
-            aggregated_records = with_neutral(
-                aggregated_records, self.database_citation
-            )
-        return CitationResult(
-            query=query,
-            policy=self.policy,
-            rewritings=rewritings,
-            tuples=tuples,
-            aggregate_polynomial=aggregate,
-            records=aggregated_records,
-            database_citation=list(self.database_citation),
-        )
+        return self._aggregate(query, rewritings, tuples)
 
     def cite_batch(
         self,
@@ -568,14 +562,13 @@ class CitationEngine:
         disjunct (``share_subplans=False`` restores per-disjunct
         evaluation; results are identical either way).
         """
-        from repro.cq.ucq import UnionQuery, parse_union_query
-
         if isinstance(union, str):
             union = parse_union_query(union)
-        union = union.minimized()
         partial_results = [
             self._cite_with_rewritings(query, rewritings, plans)
-            for query, rewritings, plans in self._group_batch(union.disjuncts)
+            for query, rewritings, plans in self._group_batch(
+                union.minimized().disjuncts
+            )
         ]
 
         outputs: dict[tuple[Any, ...], None] = {}
@@ -590,12 +583,7 @@ class CitationEngine:
                 for result in partial_results
                 if output in result.tuples
             ]
-            if self.policy.idempotent_plus:
-                combined = idempotent_sum(contributions)
-            else:
-                combined = ProvenancePolynomial.zero()
-                for polynomial in contributions:
-                    combined = combined.add(polynomial)
+            combined = self._plus(contributions)
             if self.policy.order is not None:
                 combined = normal_form(combined, self.policy.order)
             # Keep per_rewriting aligned with the concatenated rewriting
@@ -616,36 +604,12 @@ class CitationEngine:
                 output, per_rewriting, combined, records
             )
 
-        per_tuple_polynomials = [tc.polynomial for tc in tuples.values()]
-        if self.policy.idempotent_plus:
-            aggregate = idempotent_sum(per_tuple_polynomials)
-        else:
-            aggregate = ProvenancePolynomial.zero()
-            for polynomial in per_tuple_polynomials:
-                aggregate = aggregate.add(polynomial)
-        if self.policy.order is not None:
-            aggregate = absorbing_sum([aggregate], self.policy.order)
-        aggregated_records = self.policy.agg_combiner(
-            [tc.records for tc in tuples.values()]
-        )
-        if self.policy.include_database_citation:
-            aggregated_records = with_neutral(
-                aggregated_records, self.database_citation
-            )
         all_rewritings = tuple(
             rewriting
             for result in partial_results
             for rewriting in result.rewritings
         )
-        return CitationResult(
-            query=union.disjuncts[0],
-            policy=self.policy,
-            rewritings=all_rewritings,
-            tuples=tuples,
-            aggregate_polynomial=aggregate,
-            records=aggregated_records,
-            database_citation=list(self.database_citation),
-        )
+        return self._aggregate(union, all_rewritings, tuples)
 
     def cite_view(
         self, view_name: str, params: tuple[Any, ...] = ()

@@ -50,6 +50,7 @@ from repro.citation.policy import (
     comprehensive_policy,
     focused_policy,
 )
+from repro.cq.ucq import is_union_text, parse_union_query
 from repro.errors import ReproError
 from repro.relational.io import dump_project, load_project
 from repro.rewriting.engine import enumerate_rewritings
@@ -181,24 +182,13 @@ def cmd_rewrite(args: argparse.Namespace) -> int:
     return 0
 
 
-def _is_union_text(text: str) -> bool:
-    """True when Datalog text stacks more than one rule (a UCQ)."""
-    rules = [
-        chunk for chunk in text.replace(";", "\n").splitlines()
-        if chunk.strip()
-    ]
-    return len(rules) > 1
-
-
 def _parse_for_analysis(text: str, db: Any, sql: bool) -> Any:
     """The query object behind CLI text: a CQ, or a UnionQuery."""
     if sql:
         from repro.cq.sql_parser import parse_sql
 
         return parse_sql(text, db.schema)
-    if _is_union_text(text):
-        from repro.cq.ucq import parse_union_query
-
+    if is_union_text(text):
         return parse_union_query(text)
     from repro.cq.parser import parse_query
 
@@ -265,9 +255,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_cite(args: argparse.Namespace) -> int:
     """Cite a query (Datalog by default, SQL with --sql).
 
-    Multi-rule Datalog text (rules separated by ``;`` or newlines) is
-    cited as a union of conjunctive queries: per-tuple citations combine
-    with ``+`` across the disjuncts that produce the tuple.
+    Multi-rule Datalog text (rules separated by ``;`` or newlines outside
+    quoted constants) is cited as a union of conjunctive queries:
+    per-tuple citations combine with ``+`` across the disjuncts that
+    produce the tuple.
 
     A query that static analysis proves empty (contradictory equalities,
     an empty range interval, a false ground comparison) is reported with
@@ -285,7 +276,7 @@ def cmd_cite(args: argparse.Namespace) -> int:
     engine = _build_engine(db, registry, args.policy)
     if args.sql:
         result = engine.cite_sql(args.query)
-    elif _is_union_text(args.query):
+    elif is_union_text(args.query):
         result = engine.cite_union(args.query)
     else:
         result = engine.cite(args.query)

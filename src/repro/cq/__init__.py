@@ -50,12 +50,10 @@ from repro.cq.containment import (
 )
 from repro.cq.minimization import minimize
 from repro.cq.ucq import UnionQuery, parse_union_query
-from repro.cq.compile import compile_to_algebra
 
 __all__ = [
     "UnionQuery",
     "parse_union_query",
-    "compile_to_algebra",
     "Term",
     "Variable",
     "Constant",

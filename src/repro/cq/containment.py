@@ -10,8 +10,7 @@ Entailment is decided by :class:`ComparisonClosure`, a fixpoint closure over
 evaluation).  The resulting containment test is **sound** (a ``True`` answer
 is always correct) and complete for the equality-only fragment used by the
 paper's examples; for dense-order corner cases involving inequalities it may
-return ``False`` conservatively.  This is the standard trade-off and is
-documented in DESIGN.md.
+return ``False`` conservatively.  This is the standard trade-off.
 
 λ-parameterized queries are compared by instantiating both sides with the
 same fresh constants (parameters are positional, per Def 2.1).

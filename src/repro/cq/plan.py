@@ -97,14 +97,13 @@ def plan_verification() -> str:
     return _verify_mode
 
 
-def _maybe_verify(plan: QueryPlan, mode: str | None = None) -> QueryPlan:
-    """Run the verifier on ``plan`` when the effective mode says so.
+def _maybe_verify(plan: QueryPlan) -> QueryPlan:
+    """Run the verifier on ``plan`` when the process-wide mode says so.
 
     The import is deferred: :mod:`repro.analysis` depends on this
     module, and in the default ``off`` mode the verifier never loads.
     """
-    effective = _verify_mode if mode is None else mode
-    if effective == "always":
+    if _verify_mode == "always":
         from repro.analysis.verifier import verify_plan
 
         verify_plan(plan)
@@ -1127,19 +1126,8 @@ class QueryPlanner:
         self,
         db: Database,
         max_entries: int = DEFAULT_PLAN_CACHE_ENTRIES,
-        verify: str | None = None,
     ) -> None:
-        if verify is not None and verify not in VERIFY_MODES:
-            raise ValueError(
-                f"verify must be one of {VERIFY_MODES} or None, "
-                f"got {verify!r}"
-            )
         self.db = db
-        #: Per-planner override of the process-wide sanitizer switch
-        #: (None defers to :func:`plan_verification`).  ``"always"``
-        #: verifies every plan this planner hands out — fresh builds,
-        #: cache hits, and rebound plans alike.
-        self.verify = verify
         self._canonical_cache: VersionedLRU[str, QueryPlan] = VersionedLRU(
             max_entries, "plan cache (canonical)"
         )
@@ -1212,7 +1200,7 @@ class QueryPlanner:
                 self._virtual_fingerprint(query, virtual))
         plan = self._exact_cache.get(query, *tags)
         if plan is not None:
-            return _maybe_verify(plan, self.verify)
+            return _maybe_verify(plan)
         key, renaming = canonical_key_and_renaming(query)
         canonical = self._canonical_cache.get(key, *tags)
         if canonical is None:
@@ -1222,7 +1210,7 @@ class QueryPlanner:
             self._canonical_cache.put(key, canonical, *tags)
         plan = canonical.rebind(query, renaming)
         self._exact_cache.put(query, plan, *tags)
-        return _maybe_verify(plan, self.verify)
+        return _maybe_verify(plan)
 
     def plan_union(
         self,

@@ -27,6 +27,7 @@ materialized once per evaluation instead of once per disjunct.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterator, Sequence
 from typing import Any
 
@@ -206,13 +207,31 @@ class UnionQuery:
         return UnionQuery(kept)
 
 
+#: One rule of a stack: a maximal run of quoted constants and characters
+#: other than ``;`` and the line breaks :meth:`str.splitlines` knows, so a
+#: separator inside a quoted constant stays part of its rule.
+_RULE_RE = re.compile(
+    r"""(?:'[^']*'|"[^"]*"|[^;\n\r\v\f\x1c-\x1e\x85\u2028\u2029])+"""
+)
+
+
+def _split_rules(text: str) -> list[str]:
+    """The non-blank rule texts of a stack of rules, stripped."""
+    rules = (match.group().strip() for match in _RULE_RE.finditer(text))
+    return [rule for rule in rules if rule]
+
+
+def is_union_text(text: str) -> bool:
+    """True when Datalog text stacks more than one rule (a UCQ)."""
+    return len(_split_rules(text)) > 1
+
+
 def parse_union_query(text: str, default_name: str = "Q") -> UnionQuery:
-    """Parse a stack of rules (one per line / separated by ``;``)."""
-    rules = []
-    for chunk in text.replace(";", "\n").splitlines():
-        chunk = chunk.strip()
-        if chunk:
-            rules.append(parse_query(chunk, default_name))
+    """Parse a stack of rules separated by ``;`` or line breaks.
+
+    A ``;`` or line break inside a quoted constant is part of its rule.
+    """
+    rules = [parse_query(rule, default_name) for rule in _split_rules(text)]
     if not rules:
         raise QueryError("no rules found in union query text")
     names = {rule.name for rule in rules}

@@ -2,9 +2,10 @@
 
 The paper's model is defined over a relational database with conjunctive
 queries; GtoPdb itself is a production relational database.  This subpackage
-is the from-scratch substrate: value domains, relation schemas with primary
-and foreign keys, database instances with integrity enforcement, boolean
-conditions, and a small relational-algebra evaluator.
+is the from-scratch storage substrate: value domains, relation schemas with
+primary and foreign keys, database instances with integrity enforcement and
+indexes, and the per-relation statistics the planner costs with.  Queries
+over it are conjunctive queries, evaluated by :mod:`repro.cq`.
 """
 
 from repro.relational.types import (
@@ -21,24 +22,7 @@ from repro.relational.schema import Attribute, ForeignKey, RelationSchema, Schem
 from repro.relational.statistics import RelationStatistics, statistics_of
 from repro.relational.tuples import Row
 from repro.relational.database import Database, RelationInstance
-from repro.relational.expressions import (
-    ComparisonOp,
-    Condition,
-    AndCondition,
-    Comparison,
-    TrueCondition,
-)
-from repro.relational.algebra import (
-    AlgebraExpr,
-    Scan,
-    Select,
-    Project,
-    Join,
-    Union,
-    Rename,
-    Difference,
-    evaluate,
-)
+from repro.relational.expressions import ComparisonOp
 
 __all__ = [
     "AttributeType",
@@ -59,17 +43,4 @@ __all__ = [
     "RelationStatistics",
     "statistics_of",
     "ComparisonOp",
-    "Condition",
-    "AndCondition",
-    "Comparison",
-    "TrueCondition",
-    "AlgebraExpr",
-    "Scan",
-    "Select",
-    "Project",
-    "Join",
-    "Union",
-    "Rename",
-    "Difference",
-    "evaluate",
 ]

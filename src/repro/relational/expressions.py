@@ -1,9 +1,9 @@
-"""Boolean conditions over attribute positions.
+"""The comparison operators of queries.
 
-Used by the relational-algebra selection operator; the conjunctive-query
-layer has its own (variable-based) comparison atoms in
-:mod:`repro.cq.atoms`, which compile down to these positional conditions
-during evaluation.
+:class:`ComparisonOp` is the operator vocabulary of the CQ comparison
+atoms (:mod:`repro.cq.atoms`), the Datalog and SQL parsers, the
+planner's range pushdown and the containment checks: parsing from text,
+evaluation, and the flip/negate rules the planner and containment use.
 """
 
 from __future__ import annotations
@@ -11,14 +11,13 @@ from __future__ import annotations
 import enum
 import operator
 from collections.abc import Callable
-from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import QueryError
 
 
 class ComparisonOp(enum.Enum):
-    """The comparison operators supported in queries and conditions."""
+    """The comparison operators supported in queries."""
 
     EQ = "="
     NE = "!="
@@ -87,63 +86,3 @@ _SYMBOLS = {
     ">": ComparisonOp.GT,
     ">=": ComparisonOp.GE,
 }
-
-
-class Condition:
-    """Abstract boolean condition over a positional tuple."""
-
-    def evaluate(self, values: tuple[Any, ...]) -> bool:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class TrueCondition(Condition):
-    """The always-true condition."""
-
-    def evaluate(self, values: tuple[Any, ...]) -> bool:
-        return True
-
-    def __str__(self) -> str:
-        return "true"
-
-
-@dataclass(frozen=True)
-class Comparison(Condition):
-    """Compare a tuple position against a constant or another position.
-
-    ``left`` is always a position (int); ``right`` is a position when
-    ``right_is_position`` is True, otherwise a constant value.
-    """
-
-    left: int
-    op: ComparisonOp
-    right: Any
-    right_is_position: bool = False
-
-    def evaluate(self, values: tuple[Any, ...]) -> bool:
-        left_value = values[self.left]
-        right_value = values[self.right] if self.right_is_position else self.right
-        try:
-            return self.op.function(left_value, right_value)
-        except TypeError:
-            # Mixed-type comparisons (e.g. "abc" < 3) are simply false,
-            # matching SQL's type-strict but non-crashing semantics for
-            # our untyped substrate.
-            return False
-
-    def __str__(self) -> str:
-        right = f"#{self.right}" if self.right_is_position else repr(self.right)
-        return f"#{self.left} {self.op} {right}"
-
-
-@dataclass(frozen=True)
-class AndCondition(Condition):
-    """Conjunction of conditions."""
-
-    parts: tuple[Condition, ...]
-
-    def evaluate(self, values: tuple[Any, ...]) -> bool:
-        return all(part.evaluate(values) for part in self.parts)
-
-    def __str__(self) -> str:
-        return " and ".join(str(part) for part in self.parts) or "true"

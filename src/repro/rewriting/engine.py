@@ -1,6 +1,6 @@
 """Enumeration of all rewritings of a query using citation views.
 
-The engine implements the search described in DESIGN.md:
+The search:
 
 1. normalize and minimize the input query (equality propagation, core);
 2. generate per-view :class:`~repro.rewriting.descriptors.CoverageDescriptor`s;

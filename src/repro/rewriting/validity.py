@@ -13,7 +13,7 @@ Note on (4): the paper lists ``Q1 = V1,V2`` as a rewriting in Example 2.3
 even though ``V5`` covers the union of their expansions, so the
 "replaceable subset" condition applies to *base-relation* subgoals only —
 otherwise ``Q1``–``Q3`` would be invalid and the example's preference
-discussion moot.  DESIGN.md records this reading.
+discussion moot.
 """
 
 from __future__ import annotations

@@ -43,7 +43,7 @@ from typing import Any
 
 from repro.analysis import analyze_query, analyze_union, has_errors
 from repro.citation.generator import CitationEngine, CitationResult
-from repro.cq.ucq import UnionQuery, parse_union_query
+from repro.cq.ucq import UnionQuery, is_union_text, parse_union_query
 from repro.errors import ReproError
 from repro.service.batcher import (
     AdmissionFull,
@@ -124,15 +124,6 @@ def _diagnostic_json(diagnostics: list[Any]) -> list[dict[str, Any]]:
         }
         for finding in diagnostics
     ]
-
-
-def _is_union_text(text: str) -> bool:
-    """True when Datalog text stacks more than one rule (a UCQ)."""
-    rules = [
-        chunk for chunk in text.replace(";", "\n").splitlines()
-        if chunk.strip()
-    ]
-    return len(rules) > 1
 
 
 def cite_mixed(
@@ -413,7 +404,7 @@ class CitationService:
             from repro.cq.sql_parser import parse_sql
 
             return parse_sql(text, self.engine.db.schema)
-        if _is_union_text(text):
+        if is_union_text(text):
             return parse_union_query(text)
         from repro.cq.parser import parse_query
 

@@ -24,17 +24,8 @@ from typing import Any
 
 from repro.citation.generator import CitationEngine, CitationResult
 from repro.cq.query import ConjunctiveQuery
-from repro.cq.ucq import UnionQuery
+from repro.cq.ucq import UnionQuery, is_union_text
 from repro.workload.logs import QueryLog
-
-
-def _is_union_text(text: str) -> bool:
-    """True when a Datalog string stacks more than one rule."""
-    rules = [
-        chunk for chunk in text.replace(";", "\n").splitlines()
-        if chunk.strip()
-    ]
-    return len(rules) > 1
 
 
 @dataclass
@@ -164,7 +155,7 @@ def run_workload(
     def class_of(query: ConjunctiveQuery | UnionQuery | str) -> str:
         if isinstance(query, UnionQuery):
             return "ucq"
-        if isinstance(query, str) and _is_union_text(query):
+        if isinstance(query, str) and is_union_text(query):
             return "ucq"
         return "cq"
 

@@ -20,7 +20,7 @@ from repro.analysis.verifier import (
     verify_plans,
 )
 from repro.cq.parser import parse_query
-from repro.cq.plan import QueryPlanner, plan_query
+from repro.cq.plan import QueryPlanner, plan_query, set_plan_verification
 from repro.cq.terms import Constant, Variable
 from repro.cq.ucq import parse_union_query
 from repro.relational.database import Database
@@ -83,9 +83,13 @@ class TestSoundPlansPass:
             assert check_plan(plan) == [], text
 
     def test_rebound_plans(self, db):
-        planner = QueryPlanner(db, verify="always")
-        first = planner.plan(parse_query("Q(X) :- Big(X, Y), Y = 1"))
-        second = planner.plan(parse_query("Q(A) :- Big(A, B), B = 1"))
+        before = set_plan_verification("always")
+        try:
+            planner = QueryPlanner(db)
+            first = planner.plan(parse_query("Q(X) :- Big(X, Y), Y = 1"))
+            second = planner.plan(parse_query("Q(A) :- Big(A, B), B = 1"))
+        finally:
+            set_plan_verification(before)
         assert planner.hits >= 1  # the second went through rebinding
         for plan in (first, second):
             assert check_plan(plan) == []
@@ -334,35 +338,18 @@ class TestMutationKill:
 
 
 class TestVerifierModes:
-    def test_planner_rejects_bad_mode(self, db):
-        with pytest.raises(ValueError):
-            QueryPlanner(db, verify="sometimes")
-
     def test_set_plan_verification_rejects_bad_mode(self):
-        from repro.cq.plan import set_plan_verification
-
         with pytest.raises(ValueError):
             set_plan_verification("sometimes")
 
     def test_global_switch_round_trips(self, db):
-        from repro.cq.plan import plan_verification, set_plan_verification
+        from repro.cq.plan import plan_verification
 
         before = set_plan_verification("always")
         try:
             plan = plan_query(parse_query("Q(A) :- Big(A, B)"), db)
             assert plan.steps
             assert plan_verification() == "always"
-        finally:
-            set_plan_verification(before)
-
-    def test_planner_off_overrides_global(self, db):
-        from repro.cq.plan import set_plan_verification
-
-        before = set_plan_verification("always")
-        try:
-            planner = QueryPlanner(db, verify="off")
-            plan = planner.plan(parse_query("Q(A) :- Big(A, B)"))
-            assert plan.steps
         finally:
             set_plan_verification(before)
 

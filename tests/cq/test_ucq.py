@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cq.parser import parse_query
-from repro.cq.ucq import UnionQuery, parse_union_query
+from repro.cq.ucq import UnionQuery, is_union_text, parse_union_query
 from repro.errors import QueryError
 
 
@@ -39,6 +39,14 @@ class TestParsing:
             "Q(A) :- R(A, B) ; Q(A) :- S(A, B)"
         )
         assert len(union) == 2
+
+    def test_separators_inside_quoted_constants(self):
+        first = 'Q(N) :- Family(F, N, Ty), Ty = "a;b"'
+        second = "Q(N) :- Family(F, N, Ty), Ty = 'c\nd'"
+        assert not is_union_text(first)
+        assert not is_union_text(second)
+        union = parse_union_query(f"{first}; {second}")
+        assert union.disjuncts == (parse_query(first), parse_query(second))
 
     def test_mismatched_heads_rejected(self):
         with pytest.raises(QueryError):
@@ -116,6 +124,16 @@ class TestUnionCitations:
     def test_union_citation_includes_database(self, focused_engine):
         result = focused_engine.cite_union(self.UNION)
         assert result.database_citation[0] in result.records
+
+    def test_citation_names_every_submitted_rule(self, focused_engine):
+        # The second rule is subsumed by the first and minimized away
+        # before evaluation; the citation still names the union as
+        # submitted.
+        text = ('Q(N) :- Family(F, N, Ty)\n'
+                'Q(N) :- Family(F, N, Ty), Ty = "gpcr"')
+        result = focused_engine.cite_union(text)
+        assert result.query == parse_union_query(text)
+        assert result.citation()["query"] == text
 
     def test_accepts_union_query_object(self, focused_engine):
         union = parse_union_query(self.UNION)

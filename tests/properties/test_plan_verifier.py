@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import check_plan, verify_plan
 from repro.cq.atoms import ComparisonAtom, RelationalAtom
-from repro.cq.plan import QueryPlanner, plan_query
+from repro.cq.plan import QueryPlanner, plan_query, set_plan_verification
 from repro.cq.query import ConjunctiveQuery
 from repro.cq.terms import Constant, Variable
 from repro.cq.ucq import UnionQuery
@@ -128,10 +128,15 @@ def test_virtual_relation_plans_verify(db, virtual, query):
 def test_cached_and_rebound_plans_verify(db, query):
     """Plans served from the α-equivalence cache (including rebinds of a
     cached canonical plan) satisfy every invariant the fresh plan does.
-    ``verify="always"`` makes the planner raise on the spot."""
-    planner = QueryPlanner(db, verify="always")
-    first = planner.plan(query)
-    second = planner.plan(query)
+    Plan verification in always-mode makes the planner raise on the
+    spot."""
+    before = set_plan_verification("always")
+    try:
+        planner = QueryPlanner(db)
+        first = planner.plan(query)
+        second = planner.plan(query)
+    finally:
+        set_plan_verification(before)
     assert check_plan(first) == []
     assert check_plan(second) == []
 

@@ -1,14 +1,9 @@
-"""Tests for comparison operators and positional conditions."""
+"""Tests for the comparison operators."""
 
 import pytest
 
 from repro.errors import QueryError
-from repro.relational.expressions import (
-    AndCondition,
-    Comparison,
-    ComparisonOp,
-    TrueCondition,
-)
+from repro.relational.expressions import ComparisonOp
 
 
 class TestComparisonOp:
@@ -42,34 +37,3 @@ class TestComparisonOp:
         for op in ComparisonOp:
             for a, b in [(1, 2), (2, 1), (1, 1)]:
                 assert op.function(a, b) != op.negate().function(a, b)
-
-
-class TestConditions:
-    def test_true_condition(self):
-        assert TrueCondition().evaluate((1, 2))
-
-    def test_comparison_against_constant(self):
-        cond = Comparison(0, ComparisonOp.GE, 5)
-        assert cond.evaluate((5,))
-        assert not cond.evaluate((4,))
-
-    def test_comparison_between_positions(self):
-        cond = Comparison(0, ComparisonOp.EQ, 1, right_is_position=True)
-        assert cond.evaluate((3, 3))
-        assert not cond.evaluate((3, 4))
-
-    def test_mixed_type_comparison_is_false(self):
-        cond = Comparison(0, ComparisonOp.LT, 5)
-        assert not cond.evaluate(("abc",))
-
-    def test_and_condition(self):
-        cond = AndCondition((
-            Comparison(0, ComparisonOp.GT, 1),
-            Comparison(1, ComparisonOp.EQ, "x"),
-        ))
-        assert cond.evaluate((2, "x"))
-        assert not cond.evaluate((2, "y"))
-        assert not cond.evaluate((0, "x"))
-
-    def test_empty_and_is_true(self):
-        assert AndCondition(()).evaluate((1,))

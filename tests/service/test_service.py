@@ -38,6 +38,21 @@ class TestCite:
         reply = client.cite(UNION)
         assert reply.status == 200
         assert reply.data["citations"]
+        assert reply.data["query"] == f"{GPCR}\n{VGIC}"
+
+    @pytest.mark.parametrize("family_type", ["a;b", "a\nb"])
+    def test_quoted_separator_stays_one_rule(self, client, family_type):
+        text = f'Q(N) :- Family(F, N, Ty), Ty = "{family_type}"'
+        inserted = client.insert("Family", [["99", "Semi", family_type]])
+        assert inserted.status == 200
+        reply = client.cite(text)
+        assert reply.status == 200
+        registry = paper_registry()
+        engine = CitationEngine(
+            paper_database(), registry, policy=focused_policy(registry)
+        )
+        engine.db.insert("Family", "99", "Semi", family_type)
+        assert reply.data == engine.cite(text).citation()
 
     def test_sql_query(self, client):
         reply = client.cite(

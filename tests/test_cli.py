@@ -213,6 +213,16 @@ class TestUnionQueries:
         # page and the vgic (CatSper) family page.
         assert "gpcr" in out and "CatSper" in out
 
+    def test_cite_quoted_separator_is_one_rule(self, project, capsys):
+        payload = json.loads(project.read_text())
+        payload["data"]["Family"].append(["99", "Semi", "a;b"])
+        project.write_text(json.dumps(payload))
+        assert main([
+            "cite", str(project), 'Q(N) :- Family(F, N, Ty), Ty = "a;b"',
+            "--format", "text",
+        ]) == 0
+        assert "(1 result tuple(s)" in capsys.readouterr().out
+
 
 class TestAnalyze:
     CONTRADICTION = 'Q(N) :- Family(F, N, Ty), Ty = "a", Ty = "b"'

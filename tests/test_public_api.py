@@ -17,7 +17,7 @@ class TestTopLevel:
 
     @pytest.mark.parametrize("module", [
         "repro.relational", "repro.relational.io", "repro.cq",
-        "repro.cq.ucq", "repro.cq.compile", "repro.semiring",
+        "repro.cq.ucq", "repro.semiring",
         "repro.views", "repro.rewriting", "repro.citation",
         "repro.citation.explain", "repro.citation.cache",
         "repro.citation.policy_language", "repro.gtopdb", "repro.fixity",

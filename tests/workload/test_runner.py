@@ -4,6 +4,7 @@ import pytest
 
 from repro.citation.cache import CachedRewritingEngine
 from repro.citation.generator import CitationEngine
+from repro.gtopdb.sample import paper_database
 from repro.views.registry import ViewRegistry
 from repro.workload.logs import QueryLog
 from repro.workload.runner import WorkloadReport, run_workload
@@ -199,6 +200,16 @@ class TestUnionRouting:
         ])
         assert report.per_class == {"cq": 2, "ucq": 2}
         assert "[cq=2, ucq=2]" in report.describe()
+
+    def test_quoted_separator_is_one_cq(self, registry):
+        db = paper_database()
+        db.insert("Family", "99", "Semi", "a;b")
+        engine = CitationEngine(db, registry)
+        report = run_workload(
+            engine, ['Q(N) :- Family(F, N, Ty), Ty = "a;b"']
+        )
+        assert report.per_class == {"cq": 1}
+        assert list(report.results[0].tuples) == [("Semi",)]
 
     def test_single_class_workload_omits_breakdown(self, db, registry):
         engine = CitationEngine(db, registry)
