@@ -12,8 +12,11 @@ The :class:`CitationEngine` pipeline:
    ("best", Section 3.4) according to the policy;
 5. aggregate per-tuple citations with ``Agg`` (Def 3.4), injecting the
    neutral-element database citation;
-6. render tokens into citation records via the views' citation functions
-   ``F_V`` and the policy's record-level interpretations of ``·``/``+``.
+6. render the symbolic citation into records via the views' citation
+   functions ``F_V`` and the policy's record-level interpretations of
+   ``·``/``+``/``Agg`` — once per call, not once per output tuple: each
+   distinct token's record, each distinct monomial's ``·`` and each
+   distinct record's dedup key are computed once (:class:`_Rendering`).
 """
 
 from __future__ import annotations
@@ -49,10 +52,17 @@ from repro.relational.database import Database
 from repro.rewriting.engine import RewritingEngine
 from repro.rewriting.rewriting import Rewriting
 from repro.semiring.polynomial import ProvenanceMonomial, ProvenancePolynomial
+from repro.util.jsonutil import canonical_json, copy_json
 from repro.util.lru import VersionedLRU
 from repro.views.registry import ViewRegistry
 
 Record = dict[str, Any]
+#: Per output tuple, in first-output order: the per-rewriting
+#: polynomials (aligned with the rewritings) and their ``+R``
+#: combination (Defs 3.2–3.3).
+TuplePolynomials = dict[
+    tuple[Any, ...], tuple[tuple[CitationPolynomial, ...], CitationPolynomial]
+]
 
 
 @dataclass
@@ -71,6 +81,10 @@ class TupleCitation:
         The combined citation after ``+R`` — ``cite(t, Q, V)``.
     records:
         The rendered citation records under the policy's interpretations.
+        They share no dict or list with the engine's caches, so changing
+        them cannot change a later citation; tuples of one result may
+        share record objects with each other and with the result's
+        records.
     """
 
     output: tuple[Any, ...]
@@ -85,6 +99,12 @@ class CitationResult:
 
     ``query`` is the query as submitted: a conjunctive query, or for
     :meth:`CitationEngine.cite_union` the whole union (every rule).
+
+    ``records`` and ``database_citation`` (like each tuple's records)
+    are the caller's: they share no dict or list with the engine's
+    caches or its :attr:`CitationEngine.database_citation`.  Within one
+    result, record objects may be shared — the neutral-element records
+    in ``records`` are the ones in ``database_citation``.
     """
 
     query: ConjunctiveQuery | UnionQuery
@@ -128,6 +148,99 @@ def _default_database_citation(db: Database) -> list[Record]:
     for row in db.relation("MetaData"):
         record[str(row[0])] = row[1]
     return [record] if record else []
+
+
+class _Rendering:
+    """The records of one citation call, each rendered once.
+
+    One :meth:`CitationEngine.cite`, batch entry or
+    :meth:`~CitationEngine.cite_union` renders its whole result through
+    one instance, which memoizes for that call only: each distinct
+    token's record (its view's ``F_V``) enters once, each distinct
+    monomial is combined with the policy's ``·`` once — per
+    ``(monomial, coefficient)`` pair under ``plus="counted"`` — and each
+    distinct record's dedup key is computed once.  ``+``, ``Agg`` and
+    the neutral element then deduplicate on those keys.
+
+    Keys stay content-based (canonical JSON): two different monomials
+    can render equal records, so token identity alone would keep
+    duplicates.  They are memoized per record *object*; :meth:`key`
+    keeps each record it has seen alive, so no ``id`` is reused while
+    the call runs.
+
+    Token records come from the engine's record cache and the neutral
+    element from :attr:`CitationEngine.database_citation`; each enters
+    as a :func:`~repro.util.jsonutil.copy_json` copy, once per call, so
+    no record handed to the caller shares a dict or list with either.
+    """
+
+    def __init__(self, engine: CitationEngine) -> None:
+        self._engine = engine
+        self._policy = engine.policy
+        self._tokens: dict[CitationToken, Record] = {}
+        self._monomials: dict[tuple[CitationMonomial, int], list[Record]] = {}
+        self._keys: dict[int, tuple[Record, str]] = {}
+
+    def key(self, record: Record) -> str:
+        """The record's canonical JSON, computed once per record."""
+        entry = self._keys.get(id(record))
+        if entry is None:
+            entry = self._keys[id(record)] = (record, canonical_json(record))
+        return entry[1]
+
+    def _token(self, token: CitationToken) -> Record:
+        record = self._tokens.get(token)
+        if record is None:
+            record = self._tokens[token] = copy_json(
+                self._engine._token_record(token)
+            )
+        return record
+
+    def _monomial(
+        self, monomial: CitationMonomial, coefficient: int
+    ) -> list[Record]:
+        """``·`` over the monomial's token records; under
+        ``plus="counted"`` a coefficient above one is stamped on each
+        record as ``DerivationCount``."""
+        count = coefficient if self._policy.plus == "counted" else 1
+        records = self._monomials.get((monomial, count))
+        if records is None:
+            if count > 1:
+                records = [
+                    {**record, "DerivationCount": count}
+                    for record in self._monomial(monomial, 1)
+                ]
+            else:
+                records = self._policy.dot_combiner(
+                    [self._token(token) for token in monomial.tokens()],
+                    key=self.key,
+                )
+            self._monomials[monomial, count] = records
+        return records
+
+    def polynomial(self, polynomial: CitationPolynomial) -> list[Record]:
+        """``+`` over the polynomial's monomial records: one output
+        tuple's records."""
+        return self._policy.plus_combiner(
+            [
+                self._monomial(monomial, coefficient)
+                for monomial, coefficient in polynomial.terms.items()
+            ],
+            key=self.key,
+        )
+
+    def aggregate(
+        self, per_tuple: list[list[Record]]
+    ) -> tuple[list[Record], list[Record]]:
+        """``Agg`` over the per-tuple records with the neutral element
+        (Def 3.4): the result's records and its database citation."""
+        neutral = [
+            copy_json(record) for record in self._engine.database_citation
+        ]
+        records = self._policy.agg_combiner(per_tuple, key=self.key)
+        if self._policy.include_database_citation:
+            records = with_neutral(records, neutral, key=self.key)
+        return records, neutral
 
 
 class CitationEngine:
@@ -333,32 +446,66 @@ class CitationEngine:
             combined = combined.add(polynomial)
         return combined
 
-    def _aggregate(
+    def _tuple_polynomials(
+        self,
+        rewritings: tuple[Rewriting, ...],
+        plans: Sequence[QueryPlan] | None = None,
+    ) -> TuplePolynomials:
+        """Defs 3.1–3.3 for every output tuple of one conjunctive query.
+
+        ``plans``, when given, is aligned with ``rewritings`` — the
+        batch path plans while grouping shared prefixes and passes the
+        plans through so nothing is planned (or counted) twice.
+        """
+        per_rewriting = [
+            self._rewriting_polynomials(
+                rewriting, plans[index] if plans is not None else None
+            )
+            for index, rewriting in enumerate(rewritings)
+        ]
+        outputs: dict[tuple[Any, ...], None] = {}
+        for polynomials in per_rewriting:
+            for output in polynomials:
+                outputs.setdefault(output)
+        result: TuplePolynomials = {}
+        for output in outputs:
+            aligned = tuple(
+                polynomials.get(output, ProvenancePolynomial.zero())
+                for polynomials in per_rewriting
+            )
+            result[output] = (aligned, self._combine_rewritings(list(aligned)))
+        return result
+
+    def _assemble(
         self,
         query: ConjunctiveQuery | UnionQuery,
         rewritings: tuple[Rewriting, ...],
-        tuples: dict[tuple[Any, ...], TupleCitation],
+        polynomials: TuplePolynomials,
     ) -> CitationResult:
         """Def 3.4: ``Agg`` over the per-tuple citations, symbolic and
-        rendered, with the neutral-element database citation."""
+        rendered (through one :class:`_Rendering`), with the
+        neutral-element database citation."""
+        rendering = _Rendering(self)
+        tuples = {
+            output: TupleCitation(
+                output, aligned, combined, rendering.polynomial(combined)
+            )
+            for output, (aligned, combined) in polynomials.items()
+        }
         aggregate = self._plus([tc.polynomial for tc in tuples.values()])
         if self.policy.order is not None:
             aggregate = absorbing_sum([aggregate], self.policy.order)
-        aggregated_records = self.policy.agg_combiner(
+        records, database_citation = rendering.aggregate(
             [tc.records for tc in tuples.values()]
         )
-        if self.policy.include_database_citation:
-            aggregated_records = with_neutral(
-                aggregated_records, self.database_citation
-            )
         return CitationResult(
             query=query,
             policy=self.policy,
             rewritings=rewritings,
             tuples=tuples,
             aggregate_polynomial=aggregate,
-            records=aggregated_records,
-            database_citation=list(self.database_citation),
+            records=records,
+            database_citation=database_citation,
         )
 
     # ------------------------------------------------------------------
@@ -381,24 +528,6 @@ class CitationEngine:
             record = {"Token": repr(token)}
         self.record_cache.put(token, record, self.db, version)
         return record
-
-    def _monomial_records(self, monomial: CitationMonomial) -> list[Record]:
-        records = [self._token_record(token) for token in monomial.tokens()]
-        return self.policy.dot_combiner(records)
-
-    def _polynomial_records(
-        self, polynomial: CitationPolynomial
-    ) -> list[Record]:
-        alternatives: list[list[Record]] = []
-        for monomial, coefficient in polynomial.terms.items():
-            records = self._monomial_records(monomial)
-            if self.policy.plus == "counted" and coefficient > 1:
-                records = [
-                    {**record, "DerivationCount": coefficient}
-                    for record in records
-                ]
-            alternatives.append(records)
-        return self.policy.plus_combiner(alternatives)
 
     # ------------------------------------------------------------------
     # public API
@@ -438,33 +567,11 @@ class CitationEngine:
         rewritings: tuple[Rewriting, ...],
         plans: Sequence[QueryPlan] | None = None,
     ) -> CitationResult:
-        """The Def 3.1–3.4 pipeline over pre-enumerated rewritings.
-
-        ``plans``, when given, is aligned with ``rewritings`` — the
-        batch path plans while grouping shared prefixes and passes the
-        plans through so nothing is planned (or counted) twice.
-        """
-        per_rewriting = [
-            self._rewriting_polynomials(
-                rewriting, plans[index] if plans is not None else None
-            )
-            for index, rewriting in enumerate(rewritings)
-        ]
-        outputs: dict[tuple[Any, ...], None] = {}
-        for polynomials in per_rewriting:
-            for output in polynomials:
-                outputs.setdefault(output)
-
-        tuples: dict[tuple[Any, ...], TupleCitation] = {}
-        for output in outputs:
-            aligned = tuple(
-                polynomials.get(output, ProvenancePolynomial.zero())
-                for polynomials in per_rewriting
-            )
-            combined = self._combine_rewritings(list(aligned))
-            records = self._polynomial_records(combined)
-            tuples[output] = TupleCitation(output, aligned, combined, records)
-        return self._aggregate(query, rewritings, tuples)
+        """The Def 3.1–3.4 pipeline over pre-enumerated rewritings
+        (``plans`` as in :meth:`_tuple_polynomials`)."""
+        return self._assemble(
+            query, rewritings, self._tuple_polynomials(rewritings, plans)
+        )
 
     def cite_batch(
         self,
@@ -561,29 +668,31 @@ class CitationEngine:
         prefix is materialized once per union rather than once per
         disjunct (``share_subplans=False`` restores per-disjunct
         evaluation; results are identical either way).
+
+        Each disjunct stops after Defs 3.1–3.3; the union is aggregated
+        and rendered once.
         """
         if isinstance(union, str):
             union = parse_union_query(union)
-        partial_results = [
-            self._cite_with_rewritings(query, rewritings, plans)
-            for query, rewritings, plans in self._group_batch(
+        disjuncts = [
+            (rewritings, self._tuple_polynomials(rewritings, plans))
+            for __, rewritings, plans in self._group_batch(
                 union.minimized().disjuncts
             )
         ]
 
         outputs: dict[tuple[Any, ...], None] = {}
-        for result in partial_results:
-            for output in result.tuples:
+        for __, polynomials in disjuncts:
+            for output in polynomials:
                 outputs.setdefault(output)
 
-        tuples: dict[tuple[Any, ...], TupleCitation] = {}
+        tuples: TuplePolynomials = {}
         for output in outputs:
-            contributions = [
-                result.tuples[output].polynomial
-                for result in partial_results
-                if output in result.tuples
-            ]
-            combined = self._plus(contributions)
+            combined = self._plus([
+                polynomials[output][1]
+                for __, polynomials in disjuncts
+                if output in polynomials
+            ])
             if self.policy.order is not None:
                 combined = normal_form(combined, self.policy.order)
             # Keep per_rewriting aligned with the concatenated rewriting
@@ -591,25 +700,21 @@ class CitationEngine:
             # contributes zero polynomials for each of its rewritings.
             per_rewriting = tuple(
                 polynomial
-                for result in partial_results
+                for rewritings, polynomials in disjuncts
                 for polynomial in (
-                    result.tuples[output].per_rewriting
-                    if output in result.tuples
-                    else (ProvenancePolynomial.zero(),)
-                    * len(result.rewritings)
+                    polynomials[output][0]
+                    if output in polynomials
+                    else (ProvenancePolynomial.zero(),) * len(rewritings)
                 )
             )
-            records = self._polynomial_records(combined)
-            tuples[output] = TupleCitation(
-                output, per_rewriting, combined, records
-            )
+            tuples[output] = (per_rewriting, combined)
 
         all_rewritings = tuple(
             rewriting
-            for result in partial_results
-            for rewriting in result.rewritings
+            for rewritings, __ in disjuncts
+            for rewriting in rewritings
         )
-        return self._aggregate(union, all_rewritings, tuples)
+        return self._assemble(union, all_rewritings, tuples)
 
     def cite_view(
         self, view_name: str, params: tuple[Any, ...] = ()

@@ -8,8 +8,13 @@ implement that record algebra over plain Python dicts/lists.
 
 from __future__ import annotations
 
+import copy
 import json
+from collections.abc import Callable
 from typing import Any
+
+#: Values :func:`copy_json` shares instead of copying: they are immutable.
+_IMMUTABLE = (str, int, float, bool, type(None))
 
 
 def canonical_json(value: Any) -> str:
@@ -20,18 +25,39 @@ def canonical_json(value: Any) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"), default=str)
 
 
-def union_records(records: list[dict[str, Any]]) -> list[dict[str, Any]]:
+def copy_json(value: Any) -> Any:
+    """A deep copy of a JSON-like value that shares no dict or list with it.
+
+    Dispatches on the exact ``type()``: dicts and lists are rebuilt,
+    immutable scalars are shared, and anything else goes through
+    :func:`copy.deepcopy`.
+    """
+    kind = type(value)
+    if kind is dict:
+        return {field: copy_json(item) for field, item in value.items()}
+    if kind is list:
+        return [copy_json(item) for item in value]
+    if kind in _IMMUTABLE:
+        return value
+    return copy.deepcopy(value)
+
+
+def union_records(
+    records: list[dict[str, Any]],
+    key: Callable[[dict[str, Any]], str] = canonical_json,
+) -> list[dict[str, Any]]:
     """Union of records: keep every distinct record (Example 3.5, option 1).
 
-    Duplicates (by canonical JSON) are collapsed; order of first occurrence
-    is preserved.
+    Duplicates (by ``key``, the canonical JSON unless the caller passes
+    a memoized equivalent) are collapsed; order of first occurrence is
+    preserved.
     """
     seen: set[str] = set()
     result: list[dict[str, Any]] = []
     for record in records:
-        key = canonical_json(record)
-        if key not in seen:
-            seen.add(key)
+        record_key = key(record)
+        if record_key not in seen:
+            seen.add(record_key)
             result.append(record)
     return result
 

@@ -3,6 +3,9 @@
 import pytest
 
 from repro.citation.combiners import (
+    AGG_INTERPRETATIONS,
+    DOT_INTERPRETATIONS,
+    PLUS_INTERPRETATIONS,
     agg_merge,
     agg_union,
     dot_merge,
@@ -87,6 +90,28 @@ class TestNeutral:
     def test_neutral_deduped(self):
         neutral = [FV1]
         assert with_neutral([FV1], neutral) == [FV1]
+
+
+class TestDedupKey:
+    """Every combiner takes the dedup ``key``; the unions use it."""
+
+    @staticmethod
+    def by_id(record):
+        return record["ID"]
+
+    def test_unions_dedupe_by_key(self):
+        # FV1 and FV2 share an ID, so keyed by ID they are one record.
+        assert dot_union([FV1, FV2], key=self.by_id) == [FV1]
+        assert plus_union([[FV1], [FV2]], key=self.by_id) == [FV1]
+        assert agg_union([[FV1], [FV2]], key=self.by_id) == [FV1]
+        assert with_neutral([FV2], [FV1], key=self.by_id) == [FV1]
+
+    def test_every_table_entry_accepts_key(self):
+        for combiner in DOT_INTERPRETATIONS.values():
+            assert combiner([FV1], key=self.by_id)
+        for table in (PLUS_INTERPRETATIONS, AGG_INTERPRETATIONS):
+            for combiner in table.values():
+                assert combiner([[FV1]], key=self.by_id)
 
 
 class TestPolicyValidation:

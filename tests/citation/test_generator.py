@@ -1,8 +1,15 @@
 """Tests for the end-to-end citation engine (Defs 3.1-3.4)."""
 
+import copy
+
+import pytest
 
 from repro.citation.generator import CitationEngine
-from repro.citation.policy import CitationPolicy, comprehensive_policy
+from repro.citation.policy import (
+    CitationPolicy,
+    comprehensive_policy,
+    focused_policy,
+)
 from repro.citation.tokens import BaseRelationToken, ViewCitationToken
 from repro.cq.parser import parse_query
 
@@ -221,3 +228,78 @@ class TestEngineAPI:
     def test_citation_payload_shape(self, focused_engine):
         payload = focused_engine.cite(EX22_QUERY).citation()
         assert set(payload) == {"query", "policy", "database", "citations"}
+
+
+FAMILY_11 = 'Q(N) :- Family(F, N, Ty), F = "11"'
+POLICIES = {
+    "focused": focused_policy,
+    "comprehensive": lambda registry: comprehensive_policy(),
+}
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+class TestReturnedRecordsAreTheCallers:
+    """Changing a returned citation never changes a later one: no
+    returned dict or list is shared with the record cache or the
+    engine's database citation."""
+
+    TEXTS = (FAMILY_11, 'Q(N) :- Family(F, N, Ty), Ty = "gpcr"')
+
+    @staticmethod
+    def engine(db, registry, policy):
+        return CitationEngine(db, registry, policy=POLICIES[policy](registry))
+
+    def later_citations(self, engine):
+        return [engine.cite(text).citation() for text in self.TEXTS]
+
+    def test_database_citation(self, db, registry, policy):
+        engine = self.engine(db, registry, policy)
+        neutral = copy.deepcopy(engine.database_citation)
+        before = copy.deepcopy(self.later_citations(engine))
+        engine.cite(FAMILY_11).database_citation[0]["X"] = 1
+        assert self.later_citations(engine) == before
+        assert engine.database_citation == neutral
+
+    def test_top_level_field(self, db, registry, policy):
+        engine = self.engine(db, registry, policy)
+        before = copy.deepcopy(self.later_citations(engine))
+        for record in engine.cite(FAMILY_11).records:
+            record["X"] = 1
+        assert self.later_citations(engine) == before
+
+    def test_nested_list(self, db, registry, policy):
+        engine = self.engine(db, registry, policy)
+        before = copy.deepcopy(self.later_citations(engine))
+        result = engine.cite(FAMILY_11)
+        record = next(r for r in result.records if r.get("ID") == "11")
+        record["Committee"].append("X")
+        assert self.later_citations(engine) == before
+
+    def test_dict_nested_in_a_list(self, db, registry, policy):
+        # V4's record lists one dict per contributing family, so a copy
+        # one level deep would still share them.
+        engine = self.engine(db, registry, policy)
+        before = copy.deepcopy(self.later_citations(engine))
+        result = engine.cite(FAMILY_11)
+        record = next(r for r in result.records if "Contributors" in r)
+        record["Contributors"][0]["Name"] = "X"
+        assert self.later_citations(engine) == before
+
+    def test_per_tuple_records(self, db, registry, policy):
+        engine = self.engine(db, registry, policy)
+        before = copy.deepcopy(self.later_citations(engine))
+        result = engine.cite(FAMILY_11)
+        for record in result.tuples[("Calcitonin",)].records:
+            record["X"] = 1
+            for value in record.values():
+                if isinstance(value, list):
+                    value.append("X")
+        assert self.later_citations(engine) == before
+
+    def test_union_records(self, db, registry, policy):
+        engine = self.engine(db, registry, policy)
+        union = FAMILY_11 + '; Q(N) :- Family(F, N, Ty), Ty = "vgic"'
+        before = copy.deepcopy(engine.cite_union(union).citation())
+        for record in engine.cite_union(union).records:
+            record["X"] = 1
+        assert engine.cite_union(union).citation() == before

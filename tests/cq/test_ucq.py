@@ -146,6 +146,31 @@ class TestUnionCitations:
         for tc in result.tuples.values():
             assert len(tc.per_rewriting) == len(result.rewritings)
 
+    def test_one_aggregate_per_union(self, db, registry, monkeypatch):
+        # Disjuncts stop at their per-tuple polynomials: Agg's
+        # absorption (Def 3.4, Section 3.4) runs once for the union,
+        # not once per disjunct and again for the union.
+        import repro.citation.generator as generator
+        from repro.citation.generator import CitationEngine
+
+        calls = []
+        absorbing_sum = generator.absorbing_sum
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return absorbing_sum(*args, **kwargs)
+
+        monkeypatch.setattr(generator, "absorbing_sum", counted)
+        engine = CitationEngine(db, registry)
+        union = parse_union_query(
+            'Q(N) :- Family(F, N, Ty), Ty = "gpcr", FamilyIntro(F, Tx)\n'
+            'Q(N) :- Family(F, N, Ty), Ty = "vgic"\n'
+            'Q(N) :- Family(F, N, Ty), FC(F, C), C = "p1"'
+        )
+        assert len(union.minimized().disjuncts) == 3
+        engine.cite_union(union)
+        assert len(calls) == 1
+
 
 class TestPlannedEvaluation:
     """Planner/memo routing (PR 7): plans per disjunct through the

@@ -1,6 +1,11 @@
 """Tests for shared utilities: name supply, ordered sets, JSON helpers."""
 
-from repro.util.jsonutil import canonical_json, merge_records, union_records
+from repro.util.jsonutil import (
+    canonical_json,
+    copy_json,
+    merge_records,
+    union_records,
+)
 from repro.util.naming import NameSupply, fresh_variable_name
 from repro.util.orderedset import OrderedSet
 
@@ -81,6 +86,34 @@ class TestJsonUtil:
     def test_union_records_dedupes(self):
         records = [{"a": 1}, {"a": 1}, {"b": 2}]
         assert union_records(records) == [{"a": 1}, {"b": 2}]
+
+    def test_union_records_dedupes_by_the_given_key(self):
+        keys = []
+
+        def key(record):
+            keys.append(record)
+            return str(sorted(record))
+
+        records = [{"a": 1}, {"a": 2}, {"b": 2}]
+        assert union_records(records, key) == [{"a": 1}, {"b": 2}]
+        assert keys == records
+
+    def test_copy_json_shares_no_dict_or_list(self):
+        value = {"ID": "11", "Contributors": [{"Committee": ["Hay"]}],
+                 "Count": 2, "Score": 0.5, "Live": True, "Note": None}
+        copied = copy_json(value)
+        assert copied == value
+        assert copied is not value
+        assert copied["Contributors"] is not value["Contributors"]
+        inner = copied["Contributors"][0]
+        assert inner is not value["Contributors"][0]
+        assert inner["Committee"] is not value["Contributors"][0]["Committee"]
+
+    def test_copy_json_deep_copies_other_containers(self):
+        value = {"Pair": (["Hay"], "x")}
+        copied = copy_json(value)
+        assert copied == value
+        assert copied["Pair"][0] is not value["Pair"][0]
 
     def test_merge_records_factors_common_fields(self):
         # The paper's Example 3.5 merge.
