@@ -16,8 +16,9 @@ This walk-through starts the service in-process (the same
 :class:`~repro.service.ServiceThread` the tests and benchmarks use),
 sends single and batched citation requests, fires four concurrent
 clients whose single-query requests coalesce into shared engine
-batches, mutates a relation to show graceful cache invalidation, and
-reads the ``/stats`` cache-counter deltas after each step.
+batches, inserts a row to show a write applied as a row delta (cached
+records it did not change stay warm), and reads the ``/stats``
+cache-counter deltas after each step.
 """
 
 import threading
@@ -105,20 +106,28 @@ def main() -> None:
             f"(largest carried {batching['max_batch_size']})"
         )
 
-        print("\n== a mutation invalidates gracefully (POST /insert)")
+        print("\n== a write is a row delta (POST /insert)")
         version = client.stats()["engine"]["stats_version"]
         reply = client.insert("Family", [["F9999", "Demo family", "gpcr"]])
         print(
             f"   inserted {reply.data['inserted']} row; stats_version "
             f"{version} -> {reply.data['stats_version']}"
         )
+        records = client.stats()["engine"]["record_cache"]
         tuples = client.cite(GPCR, include_tuples=True).data["tuples"]
         names = sorted(entry["tuple"][0] for entry in tuples)
         print(f"   the next citation sees it: {names}")
+        after = client.stats()["engine"]["record_cache"]
+        print(
+            f"   records served warm: {after['hits'] - records['hits']}, "
+            f"rendered: {after['misses'] - records['misses']} (the new "
+            "family's own) — it has no committee, so no cached record "
+            "went stale"
+        )
         size = client.stats()["engine"]["plan_cache"]["size"]
         print(
-            f"   plan cache kept its {size} entries — version-keyed, "
-            "not flushed"
+            f"   plan cache kept its {size} entries — tagged with the "
+            "versions of the relations each plan reads, not flushed"
         )
 
         print("\n== request telemetry (GET /stats)")

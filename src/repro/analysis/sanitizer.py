@@ -38,12 +38,18 @@ version-keyed caches
     :func:`check_cache_serve` — called from the one cache primitive,
     :meth:`repro.util.lru.VersionedLRU.get` — re-validates,
     independently of the cache's own check, that a served entry's
-    ``stats_version`` tag and content fingerprint match the live
-    database — and that the live
+    version tag (the ``stats_version``, or the per-relation versions
+    plans and QA analyses are tagged with) and content fingerprint
+    match the live database — and that the live
     ``stats_version`` agrees with the sanitizer's own shadow count of
     effective mutations (:func:`note_effective_mutations`), so a
     mutation path that forgets to bump the version is caught at the
     first stale serve it would have enabled.
+maintained records
+    :func:`check_record_serve` — called by the citation engine on every
+    record-cache hit, with the record re-rendered from the live data —
+    raises when the served record differs: a row change whose record
+    delta missed a token is caught at the first serve of that token.
 event-loop blocking
     While active, ``time.sleep`` and blocking ``socket`` operations
     raise when executed on a thread with a *running* asyncio event
@@ -388,17 +394,30 @@ def check_cache_serve(
 ) -> None:
     """Re-validate a version-keyed cache serve, independently.
 
-    ``obj`` is the database whose ``stats_version`` keys the cache;
+    ``obj`` is the database the cache is tagged with;
     ``stored_version``/``stored_token`` are the tags recorded on the
-    entry being served, ``current_token`` the fingerprint computed
-    against the live state.  Raises when the entry is stale (the
-    cache's own validation was bypassed or patched out) or when the
-    live version disagrees with the mutation shadow count.
+    entry being served — the version either ``stats_version`` or a
+    tuple of ``(relation, version)`` pairs
+    (:meth:`~repro.relational.database.Database.versions`) —
+    ``current_token`` the fingerprint computed against the live state.
+    Raises when the entry is stale (the cache's own validation was
+    bypassed or patched out) or when the live version disagrees with
+    the mutation shadow count.
     """
     if not _active:
         return
     live = obj.stats_version
-    if stored_version != live:
+    if isinstance(stored_version, tuple):
+        for name, version in stored_version:
+            current = obj.relation(name).stats.version
+            if version != current:
+                raise ConcurrencySanitizerError(
+                    "stale-cache",
+                    f"{label} served an entry tagged {name} version="
+                    f"{version} while that relation is at {current}; "
+                    "the serve path did not re-validate the version",
+                )
+    elif stored_version != live:
         raise ConcurrencySanitizerError(
             "stale-cache",
             f"{label} served an entry tagged stats_version="
@@ -413,6 +432,28 @@ def check_cache_serve(
             f"{current_token!r}",
         )
     _check_shadow(label, obj, live)
+
+
+def check_record_serve(
+    label: str, obj: Any, served: Any, rendered: Any
+) -> None:
+    """Re-validate a maintained-record serve against a fresh render.
+
+    ``served`` is the record a cache is about to return for one token,
+    ``rendered`` the same token's record rendered from the live
+    database ``obj``.  Raises when they differ (a row change's record
+    delta missed this token) or when the live ``stats_version``
+    disagrees with the mutation shadow count.
+    """
+    if not _active:
+        return
+    if served != rendered:
+        raise ConcurrencySanitizerError(
+            "stale-cache",
+            f"{label} served {served!r}, but the live data renders "
+            f"{rendered!r}; a row change did not drop the stale record",
+        )
+    _check_shadow(label, obj, obj.stats_version)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,10 @@ The :class:`CitationEngine` pipeline:
    ``·``/``+``/``Agg`` — once per call, not once per output tuple: each
    distinct token's record, each distinct monomial's ``·`` and each
    distinct record's dedup key are computed once (:class:`_Rendering`).
+
+Writes need no call into the engine: it subscribes to its database and
+applies each row change as a delta to the materialized views and the
+cached records (:meth:`CitationEngine.rows_changed`).
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any
 
+from repro.analysis import sanitizer as _sanitizer
 from repro.citation.cache import CachedRewritingEngine
 from repro.citation.combiners import with_neutral
 from repro.citation.order import absorbing_sum, best_polynomials, normal_form
@@ -42,13 +47,13 @@ from repro.citation.tokens import (
 from repro.cq.evaluation import evaluate_with_bindings
 from repro.cq.executor import IndexedVirtualRelations
 from repro.cq.parser import parse_query
-from repro.cq.plan import QueryPlan, QueryPlanner
+from repro.cq.plan import QueryPlan, QueryPlanner, plan_query
 from repro.cq.query import ConjunctiveQuery
 from repro.cq.sql_parser import parse_sql
 from repro.cq.subplan import SubplanMemo, reserve_shared_prefixes
 from repro.cq.terms import Constant, Variable
 from repro.cq.ucq import UnionQuery, parse_union_query
-from repro.relational.database import Database
+from repro.relational.database import BULK, DELETED, DELETING, Database
 from repro.rewriting.engine import RewritingEngine
 from repro.rewriting.rewriting import Rewriting
 from repro.semiring.polynomial import ProvenanceMonomial, ProvenancePolynomial
@@ -305,6 +310,9 @@ class CitationEngine:
             validate=validate,
             max_rewritings=max_rewritings,
         ))
+        #: Whether :attr:`database_citation` follows ``MetaData``: only
+        #: when no ``database_citation=`` was given.
+        self._derives_database_citation = database_citation is None
         if database_citation is None:
             database_citation = _default_database_citation(db)
         self.database_citation = database_citation
@@ -316,36 +324,160 @@ class CitationEngine:
         self.subplan_memo = SubplanMemo()
         self.share_subplans = share_subplans
         self._virtual: IndexedVirtualRelations | None = None
-        #: Rendered citation records per token, tagged with the
-        #: ``stats_version`` they were rendered at (view citation
-        #: functions query the data, so a mutation makes them stale).
+        #: Plan shape of each materialized non-scan view's extension
+        #: (see :meth:`_patch_views`).
+        self._view_shapes: dict[str, tuple] = {}
+        #: View deltas computed before a delete, applied after it.
+        self._pending_deltas: dict[str, list[tuple[Any, ...]]] = {}
+        #: Rendered citation records per token, tagged with the engine
+        #: epoch: row changes drop exactly the records they make stale
+        #: (:meth:`rows_changed`), and :meth:`invalidate_data` moves
+        #: the epoch past every entry.
         self.record_cache: VersionedLRU[CitationToken, Record] = (
             VersionedLRU(4096, "record cache")
         )
+        self._epoch = 0
+        db.subscribe(self)
 
     # ------------------------------------------------------------------
 
     def refresh(self) -> None:
         """Drop materialized views and every data-derived cache."""
-        self._virtual = None
+        self.invalidate_data()
         self.record_cache.clear()
         self.planner.clear()
         self.subplan_memo.clear()
 
     def invalidate_data(self) -> None:
-        """Graceful invalidation after database mutations.
+        """Full invalidation of the data-derived state.
 
-        Unlike :meth:`refresh` — which drops *everything* — this keeps
-        the caches: the plan cache, the sub-plan memo and the record
-        cache tag their entries with
-        :attr:`~repro.relational.database.Database.stats_version` (and
-        virtual-content fingerprints), so the mutation's version bump
-        already makes them refuse stale entries lazily.  Only the
-        materialized-view relations, which carry no version tag, are
-        dropped.  The citation service calls this after every
-        ``/insert``/``/delete``.
+        Drops the materialized views and, through the engine epoch,
+        every rendered record, and re-derives the ``MetaData`` neutral
+        element.  Plans and the sub-plan memo stay: their tags (the
+        versions of the base relations they read, virtual-content
+        fingerprints, ``stats_version``) already refuse stale entries.
+
+        Writes through the database no longer need this call: the
+        engine subscribes to its database and maintains its views and
+        records per row change (:meth:`rows_changed`).  It remains for
+        callers that want a re-materializing engine, such as the
+        benchmark's reply oracle.
         """
         self._virtual = None
+        self._view_shapes.clear()
+        self._epoch += 1
+        if self._derives_database_citation:
+            self.database_citation = _default_database_citation(self.db)
+
+    def rows_changed(
+        self, relation: str, values: tuple[Any, ...] | None, phase: str
+    ) -> None:
+        """Maintain views and records across one row change.
+
+        The database calls this synchronously
+        (:meth:`~repro.relational.database.Database.subscribe`): after
+        an insert lands, and before and after a delete removes its row.
+        Both delta computations run on a state that contains the row —
+        after the insert, before the delete:
+
+        - each view whose body reads ``relation`` gets its delta from
+          :meth:`ViewRegistry.materialize` with the row pinned, applied
+          by :meth:`_patch_views` once the row change is complete;
+        - each view whose ``C_V`` reads ``relation`` drops the records
+          of the λ-valuations its pinned ``C_V`` yields.
+
+        Work is only done for state that exists: no view delta without
+        a materialization, no record delta for a view with no cached
+        record.  A bulk load (``BULK``) is a full
+        :meth:`invalidate_data`.
+        """
+        if phase == BULK:
+            self.invalidate_data()
+            return
+        assert values is not None
+        if phase == DELETED:
+            deltas, self._pending_deltas = self._pending_deltas, {}
+            self._patch_views(deltas, inserted=False)
+        else:
+            self._drop_stale_records(relation, values)
+            deltas = self._view_deltas(relation, values)
+            if phase == DELETING:
+                self._pending_deltas = deltas
+                return
+            self._patch_views(deltas, inserted=True)
+        if relation == "MetaData" and self._derives_database_citation:
+            self.database_citation = _default_database_citation(self.db)
+
+    def _view_deltas(
+        self, relation: str, values: tuple[Any, ...]
+    ) -> dict[str, list[tuple[Any, ...]]]:
+        if self._virtual is None:
+            return {}
+        names = [
+            view.name for view in self.registry
+            if relation in view.view.relation_names()
+        ]
+        if not names:
+            return {}
+        return self.registry.materialize(
+            self.db, names, pinned=(relation, values)
+        )
+
+    def _patch_views(
+        self, deltas: dict[str, list[tuple[Any, ...]]], inserted: bool
+    ) -> None:
+        """Apply view deltas to the materialization.
+
+        A scan view (:attr:`~repro.views.citation_view.CitationView
+        .is_scan`) lists one tuple per row in insertion order, so an
+        insert appends its delta and a delete removes it — the list a
+        fresh materialization builds.  Any other view is re-materialized
+        alone when its delta is non-empty, or when the change moved its
+        extension's plan shape (a new join order reorders its tuples).
+        """
+        virtual = self._virtual
+        if virtual is None:
+            return
+        for name, delta in deltas.items():
+            view = self.registry.get(name)
+            if view.is_scan:
+                if inserted:
+                    rows = [*virtual[name], *delta]
+                else:
+                    gone = set(delta)
+                    rows = [row for row in virtual[name] if row not in gone]
+            else:
+                shape = plan_query(view.extension, self.db).shape
+                if not delta and shape == self._view_shapes.get(name):
+                    continue
+                self._view_shapes[name] = shape
+                rows = self.registry.materialize(
+                    self.db, [name], planner=self.planner
+                )[name]
+            virtual.replace(name, rows)
+
+    def _drop_stale_records(
+        self, relation: str, values: tuple[Any, ...]
+    ) -> None:
+        views = [
+            view for view in self.registry
+            if relation in view.citation_query.relation_names()
+        ]
+        if not views or not len(self.record_cache):
+            return
+        cached = {
+            token.view_name
+            for token in self.record_cache.fresh_keys(version=self._epoch)
+            if isinstance(token, ViewCitationToken)
+        }
+        for view in views:
+            if view.name in cached:
+                for params in view.stale_parameters(
+                    self.db, relation, values
+                ):
+                    self.record_cache.discard(
+                        ViewCitationToken(view.name, params)
+                    )
 
     def materialized_views(self) -> IndexedVirtualRelations:
         """The (lazily built) indexed materialization of the registry.
@@ -361,6 +493,11 @@ class CitationEngine:
             self._virtual = IndexedVirtualRelations(
                 self.registry.materialize(self.db, planner=self.planner)
             )
+            self._view_shapes = {
+                view.name: plan_query(view.extension, self.db).shape
+                for view in self.registry
+                if not view.is_scan
+            }
         return self._virtual
 
     # ------------------------------------------------------------------
@@ -513,21 +650,29 @@ class CitationEngine:
     # ------------------------------------------------------------------
 
     def _token_record(self, token: CitationToken) -> Record:
-        version = self.db.stats_version
-        cached = self.record_cache.get(token, self.db, version)
+        cached = self.record_cache.get(token, version=self._epoch)
         if cached is not None:
+            if _sanitizer._active:
+                _sanitizer.check_record_serve(
+                    self.record_cache.label, self.db, cached,
+                    self._render(token, None),
+                )
             return cached
+        record = self._render(token, self.planner)
+        self.record_cache.put(token, record, version=self._epoch)
+        return record
+
+    def _render(
+        self, token: CitationToken, planner: QueryPlanner | None
+    ) -> Record:
         if isinstance(token, ViewCitationToken):
             view = self.registry.get(token.view_name)
-            record = view.citation_for(
-                self.db, token.parameters, planner=self.planner
+            return view.citation_for(
+                self.db, token.parameters, planner=planner
             )
-        elif isinstance(token, BaseRelationToken):
-            record = {"Relation": token.relation}
-        else:  # pragma: no cover - no other token kinds exist
-            record = {"Token": repr(token)}
-        self.record_cache.put(token, record, self.db, version)
-        return record
+        if isinstance(token, BaseRelationToken):
+            return {"Relation": token.relation}
+        return {"Token": repr(token)}  # pragma: no cover - no other kinds
 
     # ------------------------------------------------------------------
     # public API

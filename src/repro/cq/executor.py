@@ -83,8 +83,8 @@ class IndexedVirtualRelations(Mapping):
             tuple[str, tuple[int, ...], int], CompositeIndex
         ] = {}
         # Content fingerprints served to the plan cache (see
-        # QueryPlanner._virtual_fingerprint); rows are immutable for the
-        # lifetime of a wrapper, so each is computed at most once.
+        # QueryPlanner._tags); each is computed at most once per content
+        # (:meth:`replace` drops it with the rest of the relation's state).
         self._tokens: dict[str, tuple] = {}
 
     @classmethod
@@ -106,6 +106,31 @@ class IndexedVirtualRelations(Mapping):
 
     def __len__(self) -> int:
         return len(self._relations)
+
+    def replace(self, name: str, rows: VirtualRows) -> None:
+        """Swap in new rows for one relation.
+
+        Only that relation's arity check, statistics, indexes and
+        content fingerprint are dropped; they rebuild lazily, and every
+        other relation's stay warm.  The citation engine calls this
+        when a row change alters one view's extension.
+        """
+        self._relations[name] = rows
+        self._validated_arity.pop(name, None)
+        self._stats.pop(name, None)
+        self._tokens.pop(name, None)
+        self._indexes = {
+            key: index for key, index in self._indexes.items()
+            if key[0] != name
+        }
+        self._sorted = {
+            key: index for key, index in self._sorted.items()
+            if key[0] != name
+        }
+        self._composite = {
+            key: index for key, index in self._composite.items()
+            if key[0] != name
+        }
 
     # -- planner/executor services -------------------------------------------
 

@@ -478,6 +478,19 @@ class QueryPlan:
     empty: bool = False
     empty_reason: str = "false ground comparison"
 
+    @property
+    def shape(self) -> tuple:
+        """The join order and access paths, without the estimates.
+
+        Two plans of one query with equal shapes enumerate the same
+        bindings in the same order over the same data.
+        """
+        return self.empty, tuple(
+            (step.atom_index, step.lookup_positions, step.range_position,
+             step.range_interval)
+            for step in self.steps
+        )
+
     def explain(self, diagnostics: Sequence[Any] | None = None) -> str:
         """Render the plan the way EXPLAIN would.
 
@@ -1105,8 +1118,9 @@ class QueryPlanner:
     Plans are built once per query *structure* (for its canonical form)
     and rebound to each caller's variables — the same sharing discipline
     as :class:`repro.citation.cache.CachedRewritingEngine`.  A cached
-    entry is invalidated when the database statistics change
-    (:attr:`~repro.relational.database.Database.stats_version`) or when
+    entry is invalidated when a base relation it reads changes (its
+    :meth:`~repro.relational.database.Database.versions` entry, so a
+    write to another relation leaves it warm) or when
     the referenced virtual relations' *content* changes (fingerprinted by
     a content hash — size alone would let a same-size update serve plans
     costed against dead statistics), since either can change the optimal
@@ -1162,22 +1176,28 @@ class QueryPlanner:
             "size": self.size,
         }
 
-    def _virtual_fingerprint(
+    def _tags(
         self, query: ConjunctiveQuery, virtual: VirtualRelations | None
-    ) -> tuple:
+    ) -> tuple[Database, tuple, tuple]:
+        """The cache tags of ``query``'s plan: the database, the versions
+        of the base relations it reads, and the content fingerprints of
+        the virtual relations it reads."""
+        names = query.relation_names()
         if virtual is None:
-            return ()
+            return self.db, self.db.versions(names), ()
         token_of = getattr(virtual, "content_token", None)
-        return tuple(
+        fingerprint = tuple(
             (
                 name,
                 token_of(name)
                 if token_of is not None
                 else _content_token(virtual[name]),
             )
-            for name in query.relation_names()
+            for name in names
             if name in virtual
         )
+        base = self.db.versions(name for name in names if name not in virtual)
+        return self.db, base, fingerprint
 
     def plan(
         self,
@@ -1196,8 +1216,7 @@ class QueryPlanner:
         # reported in the *caller's* variable names, not as the
         # canonical `vN` that plan_query would see.
         query.check_safety()
-        tags = (self.db, self.db.stats_version,
-                self._virtual_fingerprint(query, virtual))
+        tags = self._tags(query, virtual)
         plan = self._exact_cache.get(query, *tags)
         if plan is not None:
             return _maybe_verify(plan)

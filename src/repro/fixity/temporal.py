@@ -195,6 +195,9 @@ class TemporalCitationEngine:
         if registry is not None:
             from repro.citation.generator import CitationEngine
 
+            # The lifted MetaData holds every snapshot's rows, so a
+            # neutral element derived from it would mix versions.
+            engine_options.setdefault("database_citation", [])
             self._engine = CitationEngine(
                 self.db,
                 lift_registry(registry, self.lifted_schema),
@@ -222,16 +225,18 @@ class TemporalCitationEngine:
         """
         if tag in self._tags:
             raise VersionError(f"snapshot tag already registered: {tag!r}")
+        if self._engine is not None:
+            # Drop the citation engine's views and records up front: with
+            # nothing cached, its per-row change hook has no delta work
+            # to do while the snapshot loads.
+            self._engine.refresh()
         loaded = 0
         for instance in snapshot.relations():
-            for row in instance:
-                self.db.insert(instance.schema.name, *row.values, tag)
-                loaded += 1
+            loaded += len(self.db.insert_all(
+                instance.schema.name,
+                [(*row.values, tag) for row in instance],
+            ))
         self._tags[tag] = None
-        if self._engine is not None:
-            # Materialized lifted views are cached per engine; new data
-            # must drop them (plans invalidate via stats_version anyway).
-            self._engine.refresh()
         return loaded
 
     def _check_tag(self, tag: str) -> None:

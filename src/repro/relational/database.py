@@ -4,14 +4,18 @@ A :class:`Database` holds one :class:`RelationInstance` per relation of its
 :class:`~repro.relational.schema.Schema`.  Instances enforce arity, domain,
 primary-key, and (on demand) foreign-key constraints, and maintain hash
 indexes over primary keys and requested attribute sets to keep conjunctive-
-query evaluation near-linear on laptop-scale data.
+query evaluation near-linear on laptop-scale data.  Every effective row
+change is reported to the database's subscribed listeners
+(:meth:`Database.subscribe`), which is how citation engines keep their
+views and records current.
 """
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from typing import Any
+from typing import Any, Protocol
 
 from repro.analysis import sanitizer as _sanitizer
 from repro.errors import (
@@ -24,6 +28,20 @@ from repro.relational.schema import RelationSchema, Schema
 from repro.relational.statistics import Interval, RelationStatistics
 from repro.relational.tuples import Row
 from repro.relational.types import check_value
+
+#: Phases of a row change, as :meth:`Database.subscribe` listeners see
+#: them: after an insert lands, before and after a delete removes its
+#: row, and once after a bulk load (values ``None``).
+INSERTED, DELETING, DELETED, BULK = "inserted", "deleting", "deleted", "bulk"
+
+
+class RowChangeListener(Protocol):
+    """What :meth:`Database.subscribe` reports each effective row change to."""
+
+    def rows_changed(
+        self, relation: str, values: tuple[Any, ...] | None, phase: str
+    ) -> None: ...
+
 
 #: A sorted secondary index over one column: the sorted key list and the
 #: rows aligned with it (stable, so equal keys keep insertion order).
@@ -212,6 +230,8 @@ class RelationInstance:
         for key in self._composite_indexes:
             self._composite_insert(key, row)
         self._note_mutation(1)
+        if self._owner is not None:
+            self._owner._report(self.schema.name, row.values, INSERTED)
         return row
 
     def _sorted_insert(self, position: int, row: Row) -> None:
@@ -362,6 +382,8 @@ class RelationInstance:
             if fresh_values:
                 self.stats.add_rows(fresh_values)
                 self._note_mutation(len(fresh_values))
+                if self._owner is not None:
+                    self._owner._report(self.schema.name, None, BULK)
         return out
 
     def delete(self, row: Row) -> bool:
@@ -370,6 +392,8 @@ class RelationInstance:
             _sanitizer.check_mutation(self._owner or self)
         if row not in self._rows:
             return False
+        if self._owner is not None:
+            self._owner._report(self.schema.name, row.values, DELETING)
         del self._rows[row]
         self.stats.remove_row(row.values)
         if self._key_positions is not None:
@@ -385,6 +409,8 @@ class RelationInstance:
         for key in list(self._composite_indexes):
             self._composite_remove(key, row)
         self._note_mutation(1)
+        if self._owner is not None:
+            self._owner._report(self.schema.name, row.values, DELETED)
         return True
 
     # -- access ---------------------------------------------------------------
@@ -495,6 +521,9 @@ class Database:
         schema.validate()
         self.schema = schema
         self._stats_version = 0
+        self._listeners: weakref.WeakSet[RowChangeListener] = (
+            weakref.WeakSet()
+        )
         self._instances: dict[str, RelationInstance] = {
             rel.name: RelationInstance(rel, owner=self) for rel in schema
         }
@@ -520,18 +549,57 @@ class Database:
 
     @property
     def stats_version(self) -> int:
-        """Monotone counter over all mutations; plan caches key on this.
+        """Monotone counter over all mutations.
 
         Maintained incrementally (each effective insert/delete bumps it
         through the owning instance) rather than summed over every
-        relation's statistics on each read — it is consulted on every
-        plan-cache, rewriting-cache and subplan-memo lookup.
+        relation's statistics on each read.  ``/stats``, the mutation
+        replies, fixity and the sub-plan memo read it; plans and QA
+        analyses tag their entries with the per-relation
+        :meth:`versions` instead, so a write to one relation leaves the
+        entries over the others warm.
         """
         return self._stats_version
 
     def _note_stats_mutations(self, count: int) -> None:
         """Called by owned instances after each effective mutation."""
         self._stats_version += count
+
+    def versions(self, names: Iterable[str]) -> tuple[tuple[str, int], ...]:
+        """``(name, version)`` for each named relation of this database,
+        in order; names it lacks (views, typos) are skipped.
+
+        A relation's version is its statistics' version, which every
+        effective row change of that relation (and only those) bumps.
+        """
+        instances = self._instances
+        return tuple(
+            (name, instances[name].stats.version)
+            for name in names
+            if name in instances
+        )
+
+    # -- change listeners -------------------------------------------------------
+
+    def subscribe(self, listener: RowChangeListener) -> None:
+        """Report every effective row change to ``listener``, synchronously.
+
+        ``listener.rows_changed(relation, values, phase)`` runs after an
+        insert lands (:data:`INSERTED`), before and after a delete
+        removes its row (:data:`DELETING`, :data:`DELETED`), and once
+        after a large :meth:`RelationInstance.insert_many` batch
+        (:data:`BULK`, values ``None``).  No-op inserts and deletes of
+        absent rows report nothing.  Listeners are held weakly: a
+        collected engine stops listening by itself.
+        """
+        self._listeners.add(listener)
+
+    def _report(
+        self, relation: str, values: tuple[Any, ...] | None, phase: str
+    ) -> None:
+        if self._listeners:
+            for listener in list(self._listeners):
+                listener.rows_changed(relation, values, phase)
 
     # -- mutation ---------------------------------------------------------------
 

@@ -13,8 +13,9 @@ secondary/composite indexes, relation statistics — amortizes across
 ``POST /cite-batch``      cite a list of queries as one shared batch
 ``POST /plan``            EXPLAIN + QA diagnostics as JSON
 ``POST /analyze``         QA diagnostics only
-``POST /insert``          insert rows; graceful cache invalidation
-``POST /delete``          delete rows; graceful cache invalidation
+``POST /insert``          insert rows; the engine maintains its views and
+                          records per row
+``POST /delete``          delete rows; likewise
 ``GET /stats``            cache hit/miss/eviction counters, sub-plan memo
                           reservations, latency histograms
 ``GET /healthz``          liveness (``{"status": "ok"}``)
@@ -37,7 +38,6 @@ import logging
 import signal
 import threading
 import time
-from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Any
 
@@ -145,24 +145,6 @@ def cite_mixed(
     ]
 
 
-@contextlib.contextmanager
-def _invalidating(engine: CitationEngine) -> Iterator[None]:
-    """Invalidate the engine's data-derived state after a mutation job.
-
-    Runs whenever ``stats_version`` moved, also when the job raises
-    after applying some rows (``insert_many``/per-row deletes keep the
-    rows applied before the failing one), so no view materialized before
-    the mutation is served after it.  The version bump alone makes the
-    version-aware caches (plans, sub-plan memo) refuse stale entries.
-    """
-    version = engine.db.stats_version
-    try:
-        yield
-    finally:
-        if engine.db.stats_version != version:
-            engine.invalidate_data()
-
-
 class _Connection:
     __slots__ = ("writer", "busy")
 
@@ -190,9 +172,10 @@ class CitationService:
             on_batch=self.metrics.observe_batch,
         )
         self._server: asyncio.AbstractServer | None = None
-        # QA diagnostics are pure in (query, stats_version): repeat
-        # traffic skips the analysis lane job entirely.  Version-tagged
-        # like the engine's caches, so mutations invalidate lazily.
+        # QA diagnostics are pure in the query and the relations it
+        # reads: repeat traffic skips the analysis lane job entirely.
+        # Entries are tagged with those relations' versions, so a write
+        # invalidates only the analyses that read what it changed.
         self.analysis_cache: VersionedLRU[str, list[Any]] = VersionedLRU(
             256, "analysis cache"
         )
@@ -413,7 +396,14 @@ class CitationService:
     async def _analyze_on_lane(self, query: Any) -> list[Any]:
         """QA diagnostics, serialized with writes on the engine lane."""
         engine = self.engine
-        key, version = repr(query), engine.db.stats_version
+        disjuncts = (
+            query.disjuncts if isinstance(query, UnionQuery) else (query,)
+        )
+        key = repr(query)
+        version = engine.db.versions(dict.fromkeys(
+            name for disjunct in disjuncts
+            for name in disjunct.relation_names()
+        ))
         cached = self.analysis_cache.get(key, engine.db, version)
         if cached is not None:
             return cached
@@ -579,10 +569,9 @@ class CitationService:
         engine = self.engine
 
         def job() -> int:
-            with _invalidating(engine):
-                return len(engine.db.insert_all(
-                    relation, [tuple(row) for row in rows]
-                ))
+            return len(engine.db.insert_all(
+                relation, [tuple(row) for row in rows]
+            ))
 
         count = await self._bounded(self.lane.submit(job))
         return 200, {
@@ -598,10 +587,9 @@ class CitationService:
         engine = self.engine
 
         def job() -> int:
-            with _invalidating(engine):
-                return sum(
-                    1 for row in rows if engine.db.delete(relation, *row)
-                )
+            return sum(
+                1 for row in rows if engine.db.delete(relation, *row)
+            )
 
         count = await self._bounded(self.lane.submit(job))
         return 200, {

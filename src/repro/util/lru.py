@@ -13,7 +13,7 @@ requires cache- and memo-named attributes to be built from it.
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Hashable
+from collections.abc import Hashable, Iterator
 from typing import Any, Generic, TypeVar
 
 from repro.analysis import sanitizer as _sanitizer
@@ -65,8 +65,10 @@ class VersionedLRU(Generic[K, V]):
     Caches whose values depend on nothing mutable (rewritings, view
     containment, committed snapshots) simply omit the tags.  When a
     database tag is present and the concurrency sanitizer is active,
-    every serve is re-validated against the live ``stats_version``
-    (:func:`~repro.analysis.sanitizer.check_cache_serve`) independently
+    every serve is re-validated against the live database — its
+    ``stats_version``, or the per-relation versions a tuple-valued
+    version tag names
+    (:func:`~repro.analysis.sanitizer.check_cache_serve`) — independently
     of :meth:`_fresh`, so a broken validation is caught at the serve.
 
     Cached values are never ``None``; ``None`` from :meth:`get` and
@@ -125,6 +127,18 @@ class VersionedLRU(Generic[K, V]):
         self._store[key] = (value, db, version, token)
         self._store.move_to_end(key)
         self.evictions += evict_lru(self._store, self.max_entries)
+
+    def discard(self, key: K) -> None:
+        """Drop ``key``'s entry, if any; no counter moves."""
+        self._store.pop(key, None)
+
+    def fresh_keys(self, db: Any = None, version: Any = None,
+                   token: Any = None) -> Iterator[K]:
+        """The keys :meth:`get` would serve under these tags, least
+        recently used first; nothing is counted or moved."""
+        for key, entry in self._store.items():
+            if entry[1] is db and self._fresh(entry, version, token):
+                yield key
 
     def clear(self) -> None:
         """Drop every entry and reset the counters."""

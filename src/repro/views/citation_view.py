@@ -21,13 +21,14 @@ Example (the paper's ``V1``/``CV1``)::
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from typing import Any
 
 from repro.cq.evaluation import evaluate_query
 from repro.cq.parser import parse_query
 from repro.cq.plan import QueryPlanner
 from repro.cq.query import ConjunctiveQuery
+from repro.cq.terms import Constant, Variable
 from repro.errors import ParameterError, ViewError
 from repro.relational.database import Database
 
@@ -36,6 +37,37 @@ from repro.relational.database import Database
 CitationFunction = Callable[
     [list[tuple[Any, ...]], Sequence[str], Mapping[str, Any]], dict
 ]
+
+
+def pinned_queries(
+    query: ConjunctiveQuery, relation: str, values: Sequence[Any]
+) -> Iterator[ConjunctiveQuery]:
+    """``query`` with one atom over ``relation`` pinned to the row
+    ``values``, once per such atom that the row can match.
+
+    Pinning substitutes the row's values for the atom's variables
+    throughout the query.  Over a state that contains the row, the
+    union of the pinned queries' results is exactly what the row
+    contributes to ``query`` — the delta rule of incremental view
+    maintenance (Gupta, Mumick & Subrahmanian, SIGMOD 1993).  An atom
+    whose constants or repeated variables the row contradicts is
+    skipped.
+    """
+    for atom in query.atoms:
+        if atom.relation != relation or atom.arity != len(values):
+            continue
+        substitution: dict[Variable, Constant] = {}
+        for term, value in zip(atom.terms, values):
+            if isinstance(term, Constant):
+                if term.value != value:
+                    break
+            elif term in substitution:
+                if substitution[term].value != value:
+                    break
+            else:
+                substitution[term] = Constant(value)
+        else:
+            yield query.substitute(substitution)
 
 
 def default_citation_function(
@@ -64,6 +96,17 @@ def default_citation_function(
             except TypeError:
                 record[label] = sorted(distinct, key=repr)
     return record
+
+
+def _pinned_result(
+    query: ConjunctiveQuery, db: Database, relation: str,
+    values: Sequence[Any],
+) -> list[tuple[Any, ...]]:
+    """The deduplicated union of :func:`pinned_queries` results."""
+    results: dict[tuple[Any, ...], None] = {}
+    for pinned in pinned_queries(query, relation, values):
+        results.update(dict.fromkeys(evaluate_query(pinned, db)))
+    return list(results)
 
 
 class RecordCitationFunction:
@@ -172,6 +215,26 @@ class CitationView:
             if citation_query.is_parameterized
             else citation_query
         )
+        # C_V projected onto its λ-parameters: the valuations whose
+        # records a row change can alter (see stale_parameters).
+        self._parameter_query = ConjunctiveQuery(
+            citation_query.name,
+            citation_query.parameters,
+            citation_query.atoms,
+            citation_query.comparisons,
+        )
+        atom_terms = view.atoms[0].terms if len(view.atoms) == 1 else ()
+        #: True when the view is one atom over distinct variables, all
+        #: in the head, with no constants or comparisons: its extension
+        #: is the relation's rows projected one to one, in insertion
+        #: order, so a row change patches it by one tuple.
+        self.is_scan = (
+            bool(atom_terms)
+            and not view.comparisons
+            and all(isinstance(term, Variable) for term in atom_terms)
+            and len(set(atom_terms)) == len(atom_terms)
+            and set(atom_terms) <= set(view.head)
+        )
 
     # -- convenience constructors ------------------------------------------------
 
@@ -241,6 +304,36 @@ class CitationView:
         if params is None and self.is_parameterized:
             return evaluate_query(self._view_extension, db, planner=planner)
         return evaluate_query(self.view, db, params=params, planner=planner)
+
+    @property
+    def extension(self) -> ConjunctiveQuery:
+        """The view definition with its λ-parameters free: the query
+        whose result is the full extension :meth:`instance` returns."""
+        return self._view_extension
+
+    def delta(
+        self, db: Database, relation: str, values: Sequence[Any]
+    ) -> list[tuple[Any, ...]]:
+        """The extension tuples the row ``values`` of ``relation`` derives.
+
+        ``db`` must contain the row (after an insert, before a delete).
+        The pinned queries are planned outside any shared plan cache:
+        their constants would fill it with one-off entries.
+        """
+        return _pinned_result(self._view_extension, db, relation, values)
+
+    def stale_parameters(
+        self, db: Database, relation: str, values: Sequence[Any]
+    ) -> list[tuple[Any, ...]]:
+        """The λ-valuations whose citation records read the row.
+
+        ``C_V`` with one atom pinned to the row, projected onto the
+        λ-parameters, over a state that contains the row: exactly the
+        valuations whose ``C_V`` output — and so whose record — the
+        row's insert or delete changes.  A parameterless ``C_V`` yields
+        ``[()]`` when the row reaches it and ``[]`` otherwise.
+        """
+        return _pinned_result(self._parameter_query, db, relation, values)
 
     def citation_rows(
         self,

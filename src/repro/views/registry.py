@@ -82,6 +82,7 @@ class ViewRegistry:
         db: Database,
         names: Sequence[str] | None = None,
         planner: "QueryPlanner | None" = None,
+        pinned: tuple[str, Sequence[Any]] | None = None,
     ) -> dict[str, list[tuple[Any, ...]]]:
         """Compute the full extension of each view (λ-parameters free).
 
@@ -90,8 +91,19 @@ class ViewRegistry:
         atoms can be evaluated against these extensions as virtual
         relations.  With a ``planner`` each extension query goes through
         the shared plan cache, so re-materialization replans nothing.
+
+        With ``pinned=(relation, values)`` each view's *delta* is
+        computed instead: the extension tuples that row derives
+        (:meth:`~repro.views.citation_view.CitationView.delta`; ``db``
+        must contain the row, and ``planner`` is not consulted).
         """
         selected = names if names is not None else self.names
+        if pinned is not None:
+            relation, values = pinned
+            return {
+                name: self.get(name).delta(db, relation, values)
+                for name in selected
+            }
         return {
             name: self.get(name).instance(db, planner=planner)
             for name in selected

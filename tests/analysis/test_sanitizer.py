@@ -14,6 +14,7 @@ from repro.analysis.sanitizer import (
     check_blocking_call,
     check_cache_serve,
     check_mutation,
+    check_record_serve,
     execution_region,
     is_active,
     note_effective_mutations,
@@ -224,6 +225,33 @@ class TestCacheServe:
         db.insert("R", 401, 0)  # shadow advances, live version does not
         with pytest.raises(ConcurrencySanitizerError) as err:
             check_cache_serve("cache", db, db.stats_version)
+        assert err.value.check == "version-integrity"
+
+    def test_relation_version_tags(self, active):
+        db = make_db()
+        stored = db.versions(["R"])
+        check_cache_serve("cache", db, stored)
+        db.insert("R", 402, 0)
+        with pytest.raises(ConcurrencySanitizerError) as err:
+            check_cache_serve("cache", db, stored)
+        assert err.value.check == "stale-cache"
+        assert "R version=" in str(err.value)
+
+    def test_record_serve_matches_or_raises(self, active):
+        db = make_db()
+        check_record_serve("records", db, {"a": 1}, {"a": 1})
+        with pytest.raises(ConcurrencySanitizerError) as err:
+            check_record_serve("records", db, {"a": 1}, {"a": 2})
+        assert err.value.check == "stale-cache"
+
+    def test_record_serve_checks_the_shadow(self, active, monkeypatch):
+        db = make_db()
+        monkeypatch.setattr(
+            Database, "_note_stats_mutations", lambda self, count: None
+        )
+        db.insert("R", 403, 0)
+        with pytest.raises(ConcurrencySanitizerError) as err:
+            check_record_serve("records", db, {"a": 1}, {"a": 1})
         assert err.value.check == "version-integrity"
 
 

@@ -162,6 +162,27 @@ class TestStaleCacheServe:
         )
 
 
+class TestStaleRecordServe:
+    """Kill: a row change that does not drop the records it made stale."""
+
+    def test_patched_out_record_delta_is_caught(
+        self, active, engine, monkeypatch
+    ):
+        text = 'Q(N) :- Family(F, N, Ty), F = "11"'
+        engine.cite(text)  # caches family 11's record
+
+        monkeypatch.setattr(
+            CitationEngine, "_drop_stale_records", lambda *args: None
+        )  # BUG: the record delta never runs
+        engine.db.insert("FC", "11", "p5")  # a new committee member
+        with pytest.raises(ConcurrencySanitizerError) as err:
+            engine.cite(text)
+        assert err.value.check == "stale-cache", (
+            "the sanitizer FAILED to catch a maintained record served "
+            "after the row change that made it stale"
+        )
+
+
 class TestEventLoopBlocking:
     """Kill: blocking calls executed on the service event loop."""
 

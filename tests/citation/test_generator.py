@@ -1,6 +1,7 @@
 """Tests for the end-to-end citation engine (Defs 3.1-3.4)."""
 
 import copy
+import json
 
 import pytest
 
@@ -205,18 +206,23 @@ class TestEngineAPI:
         assert len(after.tuples) == 2
 
     def test_mutation_makes_rendered_records_stale(self, registry):
-        # invalidate_data keeps the record cache; its entries are
-        # tagged with stats_version, so the insert alone stops the old
-        # committee from being served.
+        # The insert alone drops exactly the records it makes stale:
+        # family 20's committee changed, family 11's did not.
+        # invalidate_data() then drops every record through the epoch.
         from repro.gtopdb.sample import paper_database
         db = paper_database()
         engine = CitationEngine(db, registry)
         query = 'Q(N) :- Family(F, N, Ty), F = "20"'
+        unrelated = 'Q(N) :- Family(F, N, Ty), F = "11"'
+        engine.cite(unrelated)
         assert "Hay" not in str(engine.cite(query).records)
         assert len(engine.record_cache) > 0
         db.insert("FC", "20", "p1")
+        assert ViewCitationToken("V1", ("20",)) not in engine.record_cache
+        hits = engine.record_cache.hits
+        engine.cite(unrelated)
+        assert engine.record_cache.hits > hits
         engine.invalidate_data()
-        assert len(engine.record_cache) > 0
         misses = engine.record_cache.misses
         assert "Hay" in str(engine.cite(query).records)
         assert engine.record_cache.misses > misses
@@ -230,6 +236,123 @@ class TestEngineAPI:
         assert set(payload) == {"query", "policy", "database", "citations"}
 
 
+GPCR = 'Q(N) :- Family(F, N, Ty), Ty = "gpcr"'
+
+
+def citation_json(engine, text):
+    return json.dumps(engine.cite(text).citation(), default=str)
+
+
+class TestRowDeltas:
+    """Writes reach the engine through the database's row-change hook."""
+
+    @pytest.fixture
+    def fresh_db(self):
+        from repro.gtopdb.sample import paper_database
+        return paper_database()
+
+    def test_write_without_invalidate_data_is_cited_fresh(
+        self, fresh_db, registry
+    ):
+        engine = CitationEngine(fresh_db, registry)
+        assert len(engine.cite(GPCR).tuples) == 4
+        fresh_db.insert("Family", "f99", "NewFam", "gpcr")
+        assert len(engine.cite(GPCR).tuples) == 5
+        assert citation_json(engine, GPCR) == citation_json(
+            CitationEngine(fresh_db, registry), GPCR
+        )
+
+    def test_database_citation_follows_metadata_writes(
+        self, fresh_db, registry
+    ):
+        engine = CitationEngine(fresh_db, registry)
+        text = 'Q(N) :- Family(F, N, Ty), F = "11"'
+        assert engine.cite(text).citation()["database"][0]["Version"] == "23"
+        fresh_db.delete("MetaData", "Version", "23")
+        fresh_db.insert("MetaData", "Version", "24")
+        assert engine.cite(text).citation()["database"][0]["Version"] == "24"
+        engine.invalidate_data()
+        assert citation_json(engine, text) == citation_json(
+            CitationEngine(fresh_db, registry), text
+        )
+
+    def test_given_database_citation_is_kept(self, fresh_db, registry):
+        neutral = [{"Database": "mine"}]
+        engine = CitationEngine(fresh_db, registry, database_citation=neutral)
+        fresh_db.insert("MetaData", "Note", "x")
+        engine.invalidate_data()
+        assert engine.cite(GPCR).citation()["database"] == neutral
+
+    def test_fresh_family_row_renders_no_record(self, fresh_db, registry):
+        engine = CitationEngine(fresh_db, registry)
+        before = citation_json(engine, GPCR)
+        misses = engine.record_cache.misses
+        fresh_db.insert("Family", "f99", "NewFam", "vgic")
+        fresh_db.delete("Family", "f99", "NewFam", "vgic")
+        assert citation_json(engine, GPCR) == before
+        assert engine.record_cache.misses == misses
+
+    def test_join_view_follows_a_plan_flip(self, fresh_db, registry):
+        # Re-inserting family 11's intro moves it to the end of
+        # FamilyIntro, so the FamilyIntro-first plan of V5 lists it
+        # last; deleting two families without an intro leaves V5's
+        # rows alone but flips its plan to Family first, which lists
+        # family 11 first.
+        engine = CitationEngine(fresh_db, registry)
+        engine.materialized_views()
+        fresh_db.delete("FamilyIntro", "11", "The calcitonin peptide family")
+        fresh_db.insert("FamilyIntro", "11", "Intro")
+        assert engine.materialized_views()["V5"][-1][0] == "11"
+        fresh_db.delete("Family", "12", "Calcium-sensing", "gpcr")
+        fresh_db.delete("Family", "20", "CatSper", "vgic")
+        fresh = registry.materialize(fresh_db)
+        assert fresh["V5"][0][0] == "11"
+        assert dict(engine.materialized_views()) == fresh
+
+    def test_bulk_load_invalidates_like_invalidate_data(
+        self, fresh_db, registry
+    ):
+        engine = CitationEngine(fresh_db, registry)
+        engine.cite(GPCR)
+        fresh_db.insert_all("Family", [
+            (f"b{index}", f"Bulk{index}", "gpcr") for index in range(70)
+        ])
+        assert len(engine.cite(GPCR).tuples) == 74
+        assert citation_json(engine, GPCR) == citation_json(
+            CitationEngine(fresh_db, registry), GPCR
+        )
+
+    def test_nothing_cached_runs_no_delta_query(
+        self, fresh_db, registry, monkeypatch
+    ):
+        from repro.views.citation_view import CitationView
+        engine = CitationEngine(fresh_db, registry)
+        calls = []
+        monkeypatch.setattr(
+            CitationView, "delta", lambda *args: calls.append(args) or []
+        )
+        monkeypatch.setattr(
+            CitationView, "stale_parameters",
+            lambda *args: calls.append(args) or [],
+        )
+        fresh_db.insert("FC", "20", "p1")
+        fresh_db.delete("FC", "20", "p1")
+        assert calls == []
+        assert "Hay" not in str(engine.cite(FAMILY_20).records)
+
+    def test_collected_engine_stops_listening(self, fresh_db, registry):
+        import gc
+        import weakref
+        engine = CitationEngine(fresh_db, registry)
+        engine.cite(GPCR)
+        collected = weakref.ref(engine)
+        del engine
+        gc.collect()
+        assert collected() is None
+        fresh_db.insert("Family", "f99", "NewFam", "gpcr")
+
+
+FAMILY_20 = 'Q(N) :- Family(F, N, Ty), F = "20"'
 FAMILY_11 = 'Q(N) :- Family(F, N, Ty), F = "11"'
 POLICIES = {
     "focused": focused_policy,

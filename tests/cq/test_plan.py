@@ -17,6 +17,7 @@ from repro.errors import MixedTypeComparisonWarning, QueryError
 from repro.relational.database import Database
 from repro.relational.expressions import ComparisonOp
 from repro.relational.schema import RelationSchema, Schema
+from repro.relational.statistics import Interval
 
 
 def _multiset(bindings):
@@ -843,6 +844,29 @@ class TestPlanner:
         other = IndexedVirtualRelations({"V": [(1,), (2,)]})
         assert other.content_token("V") == token
 
+    def test_write_replans_only_queries_over_the_written_relation(
+        self, skewed_db
+    ):
+        planner = QueryPlanner(skewed_db)
+        big = parse_query("Q(A) :- Big(A, B)")
+        small = parse_query("Q(C) :- Small(B, C)")
+        planner.plan(big)
+        planner.plan(small)
+        skewed_db.insert("Small", 3, 300)
+        planner.plan(big)
+        assert planner.hits == 1 and planner.misses == 2
+        planner.plan(small)
+        assert planner.hits == 1 and planner.misses == 3
+
+    def test_shape_ignores_estimates(self, skewed_db):
+        query = parse_query("Q(A, C) :- Big(A, B), Small(B, C)")
+        before = plan_query(query, skewed_db)
+        skewed_db.insert("Small", 3, 300)
+        after = plan_query(query, skewed_db)
+        assert after.steps != before.steps
+        assert after.shape == before.shape
+        assert [index for index, *__ in after.shape[1]] == [1, 0]
+
     def test_clear(self, skewed_db):
         planner = QueryPlanner(skewed_db)
         planner.plan(parse_query("Q(A) :- Big(A, B)"))
@@ -958,6 +982,22 @@ class TestIndexedVirtualRelations:
         assert stats.cardinality == 2
         assert stats.distinct(0) == 2
         assert stats.distinct(1) == 1
+
+    def test_replace_drops_only_that_relations_state(self):
+        virtual = IndexedVirtualRelations({"V": [(1, 10)], "W": [(5,)]})
+        w_token = virtual.content_token("W")
+        w_stats = virtual.statistics_for("W", 1)
+        assert virtual.lookup("V", (0,), (2,)) == ()
+        assert virtual.range_lookup("V", 1, Interval(lo=0)) == [(1, 10)]
+        virtual.replace("V", [(1, 10), (2, 20)])
+        assert virtual.lookup("V", (0,), (2,)) == [(2, 20)]
+        assert virtual.range_lookup("V", 1, Interval(lo=15)) == [(2, 20)]
+        assert virtual.statistics_for("V", 2).cardinality == 2
+        assert virtual.content_token("V") == IndexedVirtualRelations(
+            {"V": [(1, 10), (2, 20)]}
+        ).content_token("V")
+        assert virtual.content_token("W") is w_token
+        assert virtual.statistics_for("W", 1) is w_stats
 
 
 class TestMixedTypeWarning:

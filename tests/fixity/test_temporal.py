@@ -210,6 +210,23 @@ class TestTemporalCitationEngine:
         assert set(engine.evaluate(self.QUERY, "2017.1")) == {("Extra",)}
         assert engine.evaluate(self.QUERY, "2015.1") == before
 
+    def test_registration_on_a_warm_engine_runs_no_delta_query(
+        self, engine, monkeypatch
+    ):
+        from repro.views.citation_view import CitationView
+
+        engine.cite(self.QUERY, "2016.2")
+        calls = []
+        for name in ("delta", "stale_parameters"):
+            monkeypatch.setattr(
+                CitationView, name, lambda *args: calls.append(args) or []
+            )
+        engine.register_snapshot("2018.1", paper_database())
+        assert calls == []
+        assert engine.citation_engine.database_citation == []
+        result = engine.cite(self.QUERY, "2018.1")
+        assert [r for r in result.records if r.get(VTAG) == "2018.1"]
+
     def test_explain_names_the_tag(self, engine):
         rendered = engine.explain(self.QUERY, "2015.1")
         assert rendered.startswith("as of '2015.1':")

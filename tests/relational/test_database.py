@@ -234,6 +234,65 @@ class TestStatsVersion:
         assert db.stats_version == 1
 
 
+class Recorder:
+    """A row-change listener that records what it is told."""
+
+    def __init__(self, db=None):
+        self.events = []
+        self.db = db
+
+    def rows_changed(self, relation, values, phase):
+        present = (
+            None if self.db is None or values is None
+            else Row(relation, values) in self.db.relation(relation)
+        )
+        self.events.append((relation, values, phase, present))
+
+
+class TestRowChangeListeners:
+    def test_phases_of_effective_changes(self, untyped_schema):
+        db = Database(untyped_schema)
+        recorder = Recorder(db)
+        db.subscribe(recorder)
+        db.insert("Plain", 1, 2)
+        db.insert("Plain", 1, 2)  # set-semantics no-op: not reported
+        db.delete("Plain", 1, 2)
+        db.delete("Plain", 1, 2)  # absent: not reported
+        # Deltas are computed on a state that contains the row: after
+        # the insert, before the delete.
+        assert recorder.events == [
+            ("Plain", (1, 2), "inserted", True),
+            ("Plain", (1, 2), "deleting", True),
+            ("Plain", (1, 2), "deleted", False),
+        ]
+
+    def test_large_batch_reports_one_bulk_change(self, untyped_schema):
+        db = Database(untyped_schema)
+        recorder = Recorder()
+        db.subscribe(recorder)
+        db.insert_all("Plain", [(i, 0) for i in range(100)])
+        assert recorder.events == [("Plain", None, "bulk", None)]
+        db.insert_all("Plain", [(i, 1) for i in range(3)])
+        assert [event[2] for event in recorder.events[1:]] == ["inserted"] * 3
+
+    def test_listeners_are_held_weakly(self, untyped_schema):
+        import gc
+        db = Database(untyped_schema)
+        db.subscribe(Recorder())
+        gc.collect()
+        db.insert("Plain", 1, 2)
+        assert not db._listeners
+
+    def test_versions_follow_each_relation(self, untyped_schema):
+        db = Database(untyped_schema)
+        assert db.versions(["Plain", "Keyed", "NoSuchView"]) == (
+            ("Plain", 0), ("Keyed", 0),
+        )
+        db.insert("Plain", 1, 2)
+        db.delete("Plain", 1, 2)
+        assert db.versions(["Keyed", "Plain"]) == (("Keyed", 0), ("Plain", 2))
+
+
 class TestCopyBulk:
     def test_copy_preserves_rows_and_order(self, untyped_schema):
         db = Database(untyped_schema)

@@ -193,6 +193,46 @@ class TestMutations:
         size_after = client.stats()["engine"]["plan_cache"]["size"]
         assert size_after > 0  # not flushed
 
+    def test_metadata_writes_reach_the_database_citation(
+        self, client, fresh_engine
+    ):
+        text = 'Q(N) :- Family(F, N, Ty), F = "11"'
+        assert client.cite(text).data["database"][0]["Version"] == "23"
+        assert client.delete_rows(
+            "MetaData", [["Version", "23"]]
+        ).data["deleted"] == 1
+        assert client.insert(
+            "MetaData", [["Version", "24"]]
+        ).data["inserted"] == 1
+        reply = client.cite(text)
+        assert reply.data["database"][0]["Version"] == "24"
+        assert reply.data == fresh_citation(fresh_engine, text)
+
+    def test_committee_writes_reach_the_family_citation(
+        self, client, fresh_engine
+    ):
+        text = 'Q(N) :- Family(F, N, Ty), F = "11"'
+        before = client.cite(text).data
+        assert "Clapham" not in json.dumps(before)
+        client.insert("FC", [["11", "p11"]])
+        added = client.cite(text).data
+        assert "Clapham" in json.dumps(added)
+        assert added == fresh_citation(fresh_engine, text)
+        client.delete_rows("FC", [["11", "p11"]])
+        assert client.cite(text).data == before
+
+    def test_write_keeps_analyses_of_other_relations_warm(self, client):
+        committee = 'Q(Pn) :- FC(F, C), Person(C, Pn, A), F = "11"'
+        client.analyze(committee)
+        client.analyze(GPCR)
+        client.insert("Family", [["F9997", "Y", "gpcr"]])
+        counters = client.stats()["engine"]["analysis_cache"]
+        client.analyze(committee)
+        client.analyze(GPCR)
+        after = client.stats()["engine"]["analysis_cache"]
+        assert after["hits"] == counters["hits"] + 1
+        assert after["misses"] == counters["misses"] + 1
+
     def test_unknown_relation_is_400(self, client):
         reply = client.insert("Nonexistent", [["x"]])
         assert reply.status == 400

@@ -170,6 +170,19 @@ class TestVersionedLRU:
             "hits": 0, "misses": 0, "evictions": 0, "size": 0,
         }
 
+    def test_discard_and_fresh_keys(self):
+        cache = VersionedLRU(4)
+        cache.put("a", 1, version=1)
+        cache.put("b", 2, version=2)
+        cache.put("c", 3, version=1)
+        assert list(cache.fresh_keys(version=1)) == ["a", "c"]
+        cache.discard("a")
+        cache.discard("missing")
+        assert list(cache.fresh_keys(version=1)) == ["c"]
+        assert cache.counters() == {
+            "hits": 0, "misses": 0, "evictions": 0, "size": 2,
+        }
+
     def test_rejects_nonpositive_bound(self):
         with pytest.raises(ValueError):
             VersionedLRU(0)

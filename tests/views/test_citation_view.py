@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.cq.parser import parse_query
 from repro.errors import ParameterError, ViewError
 from repro.views.citation_view import (
     CitationView,
     RecordCitationFunction,
     default_citation_function,
+    pinned_queries,
 )
 
 
@@ -166,3 +168,52 @@ class TestHoistedParameterlessQueries:
         assert registry.materialize(db, planner=planner) == \
             registry.materialize(db)
         assert planner.misses > 0
+
+
+class TestRowDeltas:
+    def test_scan_views(self, registry):
+        # V1-V4 are one atom over distinct head variables; V5 joins.
+        assert [view.is_scan for view in registry] == [
+            True, True, True, True, False,
+        ]
+        assert not CitationView.from_strings(
+            "V(F) :- Family(F, N, Ty)", "CV(F) :- Family(F, N, Ty)"
+        ).is_scan
+        assert not CitationView.from_strings(
+            "V(F, N) :- Family(F, N, N)", "CV(F) :- Family(F, N, Ty)"
+        ).is_scan
+        assert not CitationView.from_strings(
+            'V(F, N, Ty) :- Family(F, N, Ty), Ty = "gpcr"',
+            "CV(F) :- Family(F, N, Ty)",
+        ).is_scan
+
+    def test_pinned_queries_skip_rows_the_atom_contradicts(self):
+        query = parse_query(
+            'Q(X, Y) :- R(X, X, "c"), R(X, Y, Z), S(Y)'
+        )
+        pinned = list(pinned_queries(query, "R", (1, 1, "c")))
+        assert [repr(q) for q in pinned] == [
+            'Q(1, Y) :- R(1, 1, "c"), R(1, Y, Z), S(Y)',
+            'Q(1, 1) :- R(1, 1, "c"), R(1, 1, "c"), S(1)',
+        ]
+        # Repeated variable bound to two values, constant mismatch.
+        assert [repr(q) for q in pinned_queries(query, "R", (1, 2, "c"))] \
+            == ['Q(1, 2) :- R(1, 1, "c"), R(1, 2, "c"), S(2)']
+        assert list(pinned_queries(query, "S", (1, 2))) == []
+
+    def test_delta_and_stale_parameters(self, registry):
+        from repro.gtopdb.sample import paper_database
+        db = paper_database()
+        db.insert("FC", "13", "p1")
+        v1, v3, v4 = (registry.get(name) for name in ("V1", "V3", "V4"))
+        assert v1.delta(db, "FC", ("13", "p1")) == []
+        assert v1.delta(db, "Family", ("13", "b", "gpcr")) == [
+            ("13", "b", "gpcr"),
+        ]
+        assert v1.stale_parameters(db, "FC", ("13", "p1")) == [("13",)]
+        assert v4.stale_parameters(db, "FC", ("13", "p1")) == [("gpcr",)]
+        assert v4.stale_parameters(db, "FC", ("99", "p1")) == []
+        assert v3.stale_parameters(db, "MetaData", ("URL", "x")) == []
+        assert v3.stale_parameters(
+            db, "MetaData", ("URL", "guidetopharmacology.org")
+        ) == [()]
