@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Any
 
 from repro.analysis import sanitizer as _sanitizer
@@ -53,7 +55,13 @@ from repro.cq.sql_parser import parse_sql
 from repro.cq.subplan import SubplanMemo, reserve_shared_prefixes
 from repro.cq.terms import Constant, Variable
 from repro.cq.ucq import UnionQuery, parse_union_query
-from repro.relational.database import BULK, DELETED, DELETING, Database
+from repro.relational.database import (
+    BULK,
+    DELETED,
+    DELETING,
+    INSERTED,
+    Database,
+)
 from repro.rewriting.engine import RewritingEngine
 from repro.rewriting.rewriting import Rewriting
 from repro.semiring.polynomial import ProvenanceMonomial, ProvenancePolynomial
@@ -62,6 +70,11 @@ from repro.util.lru import VersionedLRU
 from repro.views.registry import ViewRegistry
 
 Record = dict[str, Any]
+#: Row changes with no read in between that an engine maintains row by
+#: row.  Each costs a few pinned delta queries, so a longer run of
+#: writes costs less as one full invalidation, rebuilt once by the next
+#: read (see :meth:`CitationEngine.rows_changed`).
+MAX_MAINTAINED_ROWS = 64
 #: Per output tuple, in first-output order: the per-rewriting
 #: polynomials (aligned with the rewritings) and their ``+R``
 #: combination (Defs 3.2–3.3).
@@ -325,10 +338,17 @@ class CitationEngine:
         self.share_subplans = share_subplans
         self._virtual: IndexedVirtualRelations | None = None
         #: Plan shape of each materialized non-scan view's extension
-        #: (see :meth:`_patch_views`).
+        #: (see :meth:`_apply_view_changes`).
         self._view_shapes: dict[str, tuple] = {}
-        #: View deltas computed before a delete, applied after it.
-        self._pending_deltas: dict[str, list[tuple[Any, ...]]] = {}
+        #: View maintenance deferred to the next read: each scan view's
+        #: ``(inserted, delta)`` changes in order, and for each non-scan
+        #: view a write reached, whether its delta was non-empty.
+        self._scan_changes: dict[
+            str, list[tuple[bool, list[tuple[Any, ...]]]]
+        ] = {}
+        self._joins_touched: dict[str, bool] = {}
+        #: Row changes since the last read (see :data:`MAX_MAINTAINED_ROWS`).
+        self._unread_rows = 0
         #: Rendered citation records per token, tagged with the engine
         #: epoch: row changes drop exactly the records they make stale
         #: (:meth:`rows_changed`), and :meth:`invalidate_data` moves
@@ -337,6 +357,9 @@ class CitationEngine:
             VersionedLRU(4096, "record cache")
         )
         self._epoch = 0
+        #: Views with a record cached at the current epoch (evictions
+        #: leave a name in place): only their ``C_V`` needs a delta.
+        self._cached_views: set[str] = set()
         db.subscribe(self)
 
     # ------------------------------------------------------------------
@@ -365,7 +388,10 @@ class CitationEngine:
         """
         self._virtual = None
         self._view_shapes.clear()
+        self._scan_changes.clear()
+        self._joins_touched.clear()
         self._epoch += 1
+        self._cached_views.clear()
         if self._derives_database_citation:
             self.database_citation = _default_database_citation(self.db)
 
@@ -380,104 +406,114 @@ class CitationEngine:
         Both delta computations run on a state that contains the row —
         after the insert, before the delete:
 
-        - each view whose body reads ``relation`` gets its delta from
-          :meth:`ViewRegistry.materialize` with the row pinned, applied
-          by :meth:`_patch_views` once the row change is complete;
         - each view whose ``C_V`` reads ``relation`` drops the records
-          of the λ-valuations its pinned ``C_V`` yields.
+          of the λ-valuations its pinned ``C_V`` yields;
+        - each view whose body reads ``relation`` gets its delta from
+          :meth:`ViewRegistry.materialize` with the row pinned.  The
+          deltas are applied once, by the next read
+          (:meth:`_apply_view_changes`), however many rows changed.
 
         Work is only done for state that exists: no view delta without
         a materialization, no record delta for a view with no cached
         record.  A bulk load (``BULK``) is a full
-        :meth:`invalidate_data`.
+        :meth:`invalidate_data`, and so is the row change that takes a
+        run of writes with no read in between past
+        :data:`MAX_MAINTAINED_ROWS`; later rows of the run then find
+        nothing to maintain.
         """
         if phase == BULK:
             self.invalidate_data()
             return
         assert values is not None
-        if phase == DELETED:
-            deltas, self._pending_deltas = self._pending_deltas, {}
-            self._patch_views(deltas, inserted=False)
-        else:
+        if phase != DELETED:
+            self._unread_rows += 1
+            if self._unread_rows > MAX_MAINTAINED_ROWS and (
+                self._virtual is not None or self._cached_views
+            ):
+                self.invalidate_data()
             self._drop_stale_records(relation, values)
-            deltas = self._view_deltas(relation, values)
-            if phase == DELETING:
-                self._pending_deltas = deltas
-                return
-            self._patch_views(deltas, inserted=True)
-        if relation == "MetaData" and self._derives_database_citation:
+            self._queue_view_deltas(relation, values, phase == INSERTED)
+        if (
+            relation == "MetaData"
+            and phase != DELETING
+            and self._derives_database_citation
+        ):
             self.database_citation = _default_database_citation(self.db)
-
-    def _view_deltas(
-        self, relation: str, values: tuple[Any, ...]
-    ) -> dict[str, list[tuple[Any, ...]]]:
-        if self._virtual is None:
-            return {}
-        names = [
-            view.name for view in self.registry
-            if relation in view.view.relation_names()
-        ]
-        if not names:
-            return {}
-        return self.registry.materialize(
-            self.db, names, pinned=(relation, values)
-        )
-
-    def _patch_views(
-        self, deltas: dict[str, list[tuple[Any, ...]]], inserted: bool
-    ) -> None:
-        """Apply view deltas to the materialization.
-
-        A scan view (:attr:`~repro.views.citation_view.CitationView
-        .is_scan`) lists one tuple per row in insertion order, so an
-        insert appends its delta and a delete removes it — the list a
-        fresh materialization builds.  Any other view is re-materialized
-        alone when its delta is non-empty, or when the change moved its
-        extension's plan shape (a new join order reorders its tuples).
-        """
-        virtual = self._virtual
-        if virtual is None:
-            return
-        for name, delta in deltas.items():
-            view = self.registry.get(name)
-            if view.is_scan:
-                if inserted:
-                    rows = [*virtual[name], *delta]
-                else:
-                    gone = set(delta)
-                    rows = [row for row in virtual[name] if row not in gone]
-            else:
-                shape = plan_query(view.extension, self.db).shape
-                if not delta and shape == self._view_shapes.get(name):
-                    continue
-                self._view_shapes[name] = shape
-                rows = self.registry.materialize(
-                    self.db, [name], planner=self.planner
-                )[name]
-            virtual.replace(name, rows)
 
     def _drop_stale_records(
         self, relation: str, values: tuple[Any, ...]
     ) -> None:
-        views = [
-            view for view in self.registry
-            if relation in view.citation_query.relation_names()
-        ]
-        if not views or not len(self.record_cache):
+        if not self._cached_views:
             return
-        cached = {
-            token.view_name
-            for token in self.record_cache.fresh_keys(version=self._epoch)
-            if isinstance(token, ViewCitationToken)
-        }
-        for view in views:
-            if view.name in cached:
+        for view in self.registry:
+            if (
+                view.name in self._cached_views
+                and relation in view.citation_query.relation_names()
+            ):
                 for params in view.stale_parameters(
                     self.db, relation, values
                 ):
                     self.record_cache.discard(
                         ViewCitationToken(view.name, params)
                     )
+
+    def _queue_view_deltas(
+        self, relation: str, values: tuple[Any, ...], inserted: bool
+    ) -> None:
+        if self._virtual is None:
+            return
+        # A non-scan view with a non-empty delta is re-materialized by
+        # the next read whatever else changes, so it needs no more.
+        names = [
+            view.name for view in self.registry
+            if relation in view.view.relation_names()
+            and not self._joins_touched.get(view.name)
+        ]
+        if not names:
+            return
+        deltas = self.registry.materialize(
+            self.db, names, pinned=(relation, values)
+        )
+        for name, delta in deltas.items():
+            if not self.registry.get(name).is_scan:
+                self._joins_touched[name] = bool(delta)
+            elif delta:
+                self._scan_changes.setdefault(name, []).append(
+                    (inserted, delta)
+                )
+
+    def _apply_view_changes(self, virtual: IndexedVirtualRelations) -> None:
+        """Apply the view maintenance queued since the last read.
+
+        A scan view (:attr:`~repro.views.citation_view.CitationView
+        .is_scan`) lists one tuple per row in insertion order, so its
+        inserts append their deltas and its deletes remove theirs, run
+        by run — the list a fresh materialization builds.  A non-scan
+        view a write reached is re-materialized alone when one of its
+        deltas was non-empty, or when the writes moved its extension's
+        plan shape (a new join order reorders its tuples).
+        """
+        scan_changes, self._scan_changes = self._scan_changes, {}
+        for name, changes in scan_changes.items():
+            rows = virtual[name]
+            for inserted, run in groupby(changes, key=itemgetter(0)):
+                tuples = [row for __, delta in run for row in delta]
+                if inserted:
+                    rows.extend(tuples)
+                else:
+                    gone = set(tuples)
+                    rows = [row for row in rows if row not in gone]
+            virtual.replace(name, rows)
+        touched, self._joins_touched = self._joins_touched, {}
+        for name, grew in touched.items():
+            view = self.registry.get(name)
+            shape = plan_query(view.extension, self.db).shape
+            if not grew and shape == self._view_shapes.get(name):
+                continue
+            self._view_shapes[name] = shape
+            virtual.replace(name, self.registry.materialize(
+                self.db, [name], planner=self.planner
+            )[name])
 
     def materialized_views(self) -> IndexedVirtualRelations:
         """The (lazily built) indexed materialization of the registry.
@@ -489,6 +525,7 @@ class CitationEngine:
         return self._materialized()
 
     def _materialized(self) -> IndexedVirtualRelations:
+        self._unread_rows = 0
         if self._virtual is None:
             self._virtual = IndexedVirtualRelations(
                 self.registry.materialize(self.db, planner=self.planner)
@@ -498,6 +535,8 @@ class CitationEngine:
                 for view in self.registry
                 if not view.is_scan
             }
+        elif self._scan_changes or self._joins_touched:
+            self._apply_view_changes(self._virtual)
         return self._virtual
 
     # ------------------------------------------------------------------
@@ -660,6 +699,8 @@ class CitationEngine:
             return cached
         record = self._render(token, self.planner)
         self.record_cache.put(token, record, version=self._epoch)
+        if isinstance(token, ViewCitationToken):
+            self._cached_views.add(token.view_name)
         return record
 
     def _render(

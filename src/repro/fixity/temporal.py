@@ -29,8 +29,9 @@ view's λ-term exactly like ``Ty = "gpcr"`` in Example 2.2.
 cost-based planner: queries pinned to a snapshot tag plan once per
 ``(query, tag)`` — the tag rides in the query as an ordinary constant, so
 the α-equivalence plan cache separates tags without any bespoke keying —
-and snapshot registration invalidates every cached plan through the same
-``stats_version`` signal ordinary mutations use.
+and loading a snapshot bumps the versions of the lifted relations it
+writes, which cached plans are tagged with, so plans over them re-plan
+lazily, as after any other write.
 """
 
 from __future__ import annotations
@@ -166,9 +167,9 @@ class TemporalCitationEngine:
     :class:`~repro.cq.plan.QueryPlanner`.  The plan cache is *version
     aware* for free: :func:`tag_query` embeds the tag as a constant in
     every atom, so two tags yield two canonical keys — one plan per
-    ``(query, tag)`` — and registering a new snapshot bumps the temporal
-    database's ``stats_version``, lazily invalidating every cached plan
-    exactly like an ordinary bulk load would.
+    ``(query, tag)`` — and registering a new snapshot bumps the versions
+    of the lifted relations it loads, which cached plans are tagged
+    with, so they re-plan lazily exactly as after an ordinary bulk load.
 
     With a ``registry`` (over the *unlifted* base schema) the engine also
     serves version-stamped citations: the registry is lifted
@@ -218,10 +219,12 @@ class TemporalCitationEngine:
     def register_snapshot(self, tag: str, snapshot: Database) -> int:
         """Copy a base-schema snapshot into the temporal DB under ``tag``.
 
-        Returns the number of rows loaded.  Loading bumps the temporal
-        database's ``stats_version``, so every cached plan (this
-        engine's and the citation engine's) is invalidated — the same
-        signal PR 5 uses for ordinary mutations.
+        Returns the number of rows loaded.  The citation engine, if
+        any, is refreshed up front, and each relation loads with one
+        ``insert_all``.  Loading bumps the versions of the lifted
+        relations it writes; cached plans (this engine's and the
+        citation engine's) are tagged with those versions, so they
+        re-plan lazily.
         """
         if tag in self._tags:
             raise VersionError(f"snapshot tag already registered: {tag!r}")

@@ -13,7 +13,7 @@ requires cache- and memo-named attributes to be built from it.
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Hashable, Iterator
+from collections.abc import Hashable
 from typing import Any, Generic, TypeVar
 
 from repro.analysis import sanitizer as _sanitizer
@@ -131,14 +131,6 @@ class VersionedLRU(Generic[K, V]):
     def discard(self, key: K) -> None:
         """Drop ``key``'s entry, if any; no counter moves."""
         self._store.pop(key, None)
-
-    def fresh_keys(self, db: Any = None, version: Any = None,
-                   token: Any = None) -> Iterator[K]:
-        """The keys :meth:`get` would serve under these tags, least
-        recently used first; nothing is counted or moved."""
-        for key, entry in self._store.items():
-            if entry[1] is db and self._fresh(entry, version, token):
-                yield key
 
     def clear(self) -> None:
         """Drop every entry and reset the counters."""

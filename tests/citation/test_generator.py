@@ -223,6 +223,7 @@ class TestEngineAPI:
         engine.cite(unrelated)
         assert engine.record_cache.hits > hits
         engine.invalidate_data()
+        assert len(engine.record_cache) > 0
         misses = engine.record_cache.misses
         assert "Hay" in str(engine.cite(query).records)
         assert engine.record_cache.misses > misses
@@ -308,6 +309,61 @@ class TestRowDeltas:
         fresh = registry.materialize(fresh_db)
         assert fresh["V5"][0][0] == "11"
         assert dict(engine.materialized_views()) == fresh
+
+    def test_writes_are_applied_once_by_the_next_read(
+        self, fresh_db, registry, monkeypatch
+    ):
+        # Each intro write changes V5, which the read then
+        # re-materializes once; V2 takes every change in one patch, in
+        # order: the intro inserted and deleted again is gone, and the
+        # one deleted and inserted again moves to the end.
+        from repro.views.registry import ViewRegistry
+        engine = CitationEngine(fresh_db, registry)
+        engine.cite(GPCR)
+        rebuilt = []
+        materialize = ViewRegistry.materialize
+
+        def counting(self, db, names=None, planner=None, pinned=None):
+            if pinned is None:
+                rebuilt.append(names)
+            return materialize(self, db, names, planner, pinned)
+
+        monkeypatch.setattr(ViewRegistry, "materialize", counting)
+        fresh_db.insert("FamilyIntro", "12", "Intro12")
+        fresh_db.insert("FamilyIntro", "20", "Intro20")
+        fresh_db.delete("FamilyIntro", "13", "Familyb")
+        fresh_db.delete("FamilyIntro", "12", "Intro12")
+        fresh_db.delete("FamilyIntro", "11", "The calcitonin peptide family")
+        fresh_db.insert("FamilyIntro", "11", "Intro11")
+        assert rebuilt == []
+        views = dict(engine.materialized_views())
+        assert rebuilt == [["V5"]]
+        assert [row[0] for row in views["V2"]] == ["14", "20", "11"]
+        assert views == materialize(registry, fresh_db)
+
+    def test_a_long_write_run_is_rebuilt_once(
+        self, fresh_db, registry, monkeypatch
+    ):
+        from repro.citation.generator import MAX_MAINTAINED_ROWS
+        from repro.views.citation_view import CitationView
+        engine = CitationEngine(fresh_db, registry)
+        engine.cite(GPCR)
+        calls = []
+        delta = CitationView.delta
+        monkeypatch.setattr(
+            CitationView, "delta",
+            lambda *args: calls.append(args) or delta(*args),
+        )
+        for index in range(3 * MAX_MAINTAINED_ROWS):
+            fresh_db.insert("Family", f"w{index}", f"W{index}", "gpcr")
+        family_views = [
+            view for view in registry
+            if "Family" in view.view.relation_names()
+        ]
+        assert len(calls) == MAX_MAINTAINED_ROWS * len(family_views)
+        assert citation_json(engine, GPCR) == citation_json(
+            CitationEngine(fresh_db, registry), GPCR
+        )
 
     def test_bulk_load_invalidates_like_invalidate_data(
         self, fresh_db, registry

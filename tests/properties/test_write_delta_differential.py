@@ -4,11 +4,12 @@ Hypothesis draws write programs over the paper's GtoPdb instance with
 the five demo views: single-row inserts and deletes on ``Family``,
 ``FamilyIntro``, ``FC``, ``FIC``, ``Person`` and ``MetaData`` — rows
 that join existing data and rows that join nothing, key violations,
-deletes of live and of absent rows — a multi-row delete whose last row fails (the
-``/delete`` job's per-row loop), and one large ``insert_all`` that
-takes the bulk path.  One warm engine follows the whole program through
-the database's row-change hook, never through ``invalidate_data()``.
-After every step:
+deletes of live and of absent rows — runs of such writes with no read
+in between, a multi-row delete whose last row fails (the ``/delete``
+job's per-row loop), a run longer than the engine maintains row by row,
+and one large ``insert_all`` that takes the bulk path.  One warm engine
+follows the whole program through the database's row-change hook, never
+through ``invalidate_data()``.  After every step:
 
 - its materialized views equal a fresh ``registry.materialize``, list
   for list and in the same order;
@@ -22,7 +23,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.citation.generator import CitationEngine
+from repro.citation.generator import MAX_MAINTAINED_ROWS, CitationEngine
 from repro.citation.tokens import ViewCitationToken
 from repro.errors import ReproError
 from repro.gtopdb.sample import paper_database
@@ -87,9 +88,15 @@ FAILING_DELETE = st.one_of(*(
     )
     for name in ("Family", "FC")
 ))
+RUN = st.tuples(
+    st.just("run"), st.just(None), st.lists(SINGLE, min_size=2, max_size=4)
+)
+LONG_RUN = st.just(("long-run", "Family", None))
 BULK = st.just(("bulk", "Person", None))
 PROGRAMS = st.lists(
-    st.one_of(SINGLE, SINGLE, DELETE_LIVE, FAILING_DELETE, BULK),
+    st.one_of(
+        SINGLE, SINGLE, DELETE_LIVE, FAILING_DELETE, RUN, LONG_RUN, BULK
+    ),
     min_size=1,
     max_size=6,
 )
@@ -111,6 +118,12 @@ def apply(db, step):
             # one stay deleted.
             for row in [*rows, ("malformed",)]:
                 db.delete(relation, *row)
+        elif op == "run":
+            for single in rows:
+                apply(db, single)
+        elif op == "long-run":
+            for index in range(MAX_MAINTAINED_ROWS + 2):
+                db.insert(relation, f"r{index}", f"Run{index}", "vgic")
         else:
             db.insert_all(relation, [
                 (f"q{index}", f"Bulk{index}", "Elsewhere")
@@ -131,9 +144,9 @@ def check_against_fresh(engine, db, registry):
     fresh = CitationEngine(db, registry)
     for text in [*POINT_TEXTS, *WIDE_TEXTS, UNION_TEXT]:
         assert citation_json(engine, text) == citation_json(fresh, text), text
-    for token in engine.record_cache.fresh_keys(version=engine._epoch):
-        if isinstance(token, ViewCitationToken):
-            served = engine.record_cache.peek(token, version=engine._epoch)
+    for token in list(engine.record_cache._store):
+        served = engine.record_cache.peek(token, version=engine._epoch)
+        if served is not None and isinstance(token, ViewCitationToken):
             view = registry.get(token.view_name)
             assert served == view.citation_for(db, token.parameters), token
 

@@ -170,15 +170,15 @@ class TestVersionedLRU:
             "hits": 0, "misses": 0, "evictions": 0, "size": 0,
         }
 
-    def test_discard_and_fresh_keys(self):
+    def test_discard(self):
         cache = VersionedLRU(4)
         cache.put("a", 1, version=1)
         cache.put("b", 2, version=2)
         cache.put("c", 3, version=1)
-        assert list(cache.fresh_keys(version=1)) == ["a", "c"]
         cache.discard("a")
         cache.discard("missing")
-        assert list(cache.fresh_keys(version=1)) == ["c"]
+        assert "a" not in cache
+        assert cache.peek("c", version=1) == 3
         assert cache.counters() == {
             "hits": 0, "misses": 0, "evictions": 0, "size": 2,
         }
