@@ -15,8 +15,9 @@ re-evaluate that prefix once per query; the sub-plan memo
 
 This walk-through builds a three-hop join prefix shared by six queries,
 shows the prefix keys and the ``shared prefix: ... reused from memo``
-EXPLAIN line, runs the batch through ``cite_batch`` with sharing on and
-off, and reports the hit counters and the steady-state speedup.
+EXPLAIN line, runs the batch through ``cite_batch`` and against citing
+each query in its own call (one plan per call, so nothing is shared),
+and reports the hit counters and the steady-state speedup.
 """
 
 import time
@@ -103,21 +104,23 @@ def main() -> None:
     print("\n== Second batch (warm memo: every shared prefix seeds)")
     print(run_workload(engine, queries).describe())
 
-    print("\n== Steady-state timing: sharing on vs off")
+    print("\n== Steady-state timing: one batch vs one call per query")
 
-    def steady(share: bool) -> float:
-        timed = CitationEngine(db, registry, share_subplans=share)
-        timed.cite_batch(queries)  # warm every cache
+    def steady(cite_all) -> float:
+        timed = CitationEngine(db, registry)
+        cite_all(timed)  # warm every cache
         best = None
         for __ in range(3):
             started = time.perf_counter()
-            timed.cite_batch(queries)
+            cite_all(timed)
             elapsed = time.perf_counter() - started
             best = elapsed if best is None else min(best, elapsed)
         return best
 
-    shared = steady(True)
-    unshared = steady(False)
+    shared = steady(lambda engine: engine.cite_batch(queries))
+    unshared = steady(
+        lambda engine: [engine.cite(query) for query in queries]
+    )
     print(f"  shared   {shared:.4f}s per batch")
     print(f"  unshared {unshared:.4f}s per batch")
     print(f"  speedup  {unshared / shared:.1f}x")

@@ -18,6 +18,13 @@ The :class:`CitationEngine` pipeline:
    distinct token's record, each distinct monomial's ``·`` and each
    distinct record's dedup key are computed once (:class:`_Rendering`).
 
+A union of conjunctive queries (SPJU's U, Section 3.1) runs steps 1–4
+per disjunct and combines a tuple's citations with ``+`` across the
+disjuncts that derive it, the alternative-use ``+`` of bindings; a
+conjunctive query is a union of one rule.  Every query, conjunctive or
+union, object or Datalog text, is cited through
+:meth:`CitationEngine.cite_batch`.
+
 Writes need no call into the engine: it subscribes to its database and
 applies each row change as a delta to the materialized views and the
 cached records (:meth:`CitationEngine.rows_changed`).
@@ -48,13 +55,12 @@ from repro.citation.tokens import (
 )
 from repro.cq.evaluation import evaluate_with_bindings
 from repro.cq.executor import IndexedVirtualRelations
-from repro.cq.parser import parse_query
 from repro.cq.plan import QueryPlan, QueryPlanner, plan_query
 from repro.cq.query import ConjunctiveQuery
 from repro.cq.sql_parser import parse_sql
 from repro.cq.subplan import SubplanMemo, reserve_shared_prefixes
 from repro.cq.terms import Constant, Variable
-from repro.cq.ucq import UnionQuery, parse_union_query
+from repro.cq.ucq import UnionQuery, parse_datalog
 from repro.relational.database import (
     BULK,
     DELETED,
@@ -115,8 +121,9 @@ class TupleCitation:
 class CitationResult:
     """The citation of a whole query result — ``cite(D, Q, V)``.
 
-    ``query`` is the query as submitted: a conjunctive query, or for
-    :meth:`CitationEngine.cite_union` the whole union (every rule).
+    ``query`` is the query as submitted (Datalog text parsed): a
+    conjunctive query, or a whole union (every rule, including those
+    minimization removed before citing).
 
     ``records`` and ``database_citation`` (like each tuple's records)
     are the caller's: they share no dict or list with the engine's
@@ -171,14 +178,13 @@ def _default_database_citation(db: Database) -> list[Record]:
 class _Rendering:
     """The records of one citation call, each rendered once.
 
-    One :meth:`CitationEngine.cite`, batch entry or
-    :meth:`~CitationEngine.cite_union` renders its whole result through
-    one instance, which memoizes for that call only: each distinct
-    token's record (its view's ``F_V``) enters once, each distinct
-    monomial is combined with the policy's ``·`` once — per
-    ``(monomial, coefficient)`` pair under ``plus="counted"`` — and each
-    distinct record's dedup key is computed once.  ``+``, ``Agg`` and
-    the neutral element then deduplicate on those keys.
+    Each query of a :meth:`CitationEngine.cite_batch` call renders its
+    whole result through one instance, which memoizes for that query
+    only: each distinct token's record (its view's ``F_V``) enters once,
+    each distinct monomial is combined with the policy's ``·`` once —
+    per ``(monomial, coefficient)`` pair under ``plus="counted"`` — and
+    each distinct record's dedup key is computed once.  ``+``, ``Agg``
+    and the neutral element then deduplicate on those keys.
 
     Keys stay content-based (canonical JSON): two different monomials
     can render equal records, so token identity alone would keep
@@ -262,7 +268,7 @@ class _Rendering:
 
 
 class CitationEngine:
-    """Generates citations for conjunctive queries over a database.
+    """Generates citations for SPJU queries over a database.
 
     Parameters
     ----------
@@ -281,13 +287,6 @@ class CitationEngine:
         which every query reaches through a
         :class:`~repro.citation.cache.CachedRewritingEngine` (Def 2.2
         enumeration memoized per α-equivalence class).
-    share_subplans:
-        When True (the default), :meth:`cite_batch` groups each batch by
-        shared plan prefixes and evaluates every shared join prefix
-        *once* through the :attr:`subplan_memo`
-        (:mod:`repro.cq.subplan`); False keeps per-query evaluation (the
-        unshared baseline the batch-overlap benchmark compares against).
-        Results are identical either way.
 
     Plan verification and the concurrency sanitizer are process-wide
     switches (:func:`~repro.cq.plan.set_plan_verification` /
@@ -312,7 +311,6 @@ class CitationEngine:
         include_partial: bool = True,
         validate: bool = True,
         max_rewritings: int | None = None,
-        share_subplans: bool = True,
     ) -> None:
         self.db = db
         self.registry = registry
@@ -335,7 +333,6 @@ class CitationEngine:
         #: Cross-query sub-plan memo: batches evaluate each shared join
         #: prefix once (:mod:`repro.cq.subplan`).
         self.subplan_memo = SubplanMemo()
-        self.share_subplans = share_subplans
         self._virtual: IndexedVirtualRelations | None = None
         #: Plan shape of each materialized non-scan view's extension
         #: (see :meth:`_apply_view_changes`).
@@ -564,28 +561,19 @@ class CitationEngine:
             tokens.append(BaseRelationToken(atom.relation))
         return ProvenanceMonomial(tokens)
 
-    def _active_memo(self) -> SubplanMemo | None:
-        """The sub-plan memo, when consulting it can pay off.
-
-        ``None`` while sharing is disabled or the memo neither holds nor
-        wants anything — the executor then skips prefix-key computation
-        entirely, so engines that never batch pay zero overhead.
-        """
-        if self.share_subplans and self.subplan_memo.worth_checking:
-            return self.subplan_memo
-        return None
-
     def _rewriting_polynomials(
-        self, rewriting: Rewriting, plan: QueryPlan | None = None
+        self, rewriting: Rewriting, plan: QueryPlan
     ) -> dict[tuple[Any, ...], CitationPolynomial]:
         """Def 3.2: per-tuple polynomials for one rewriting."""
+        memo = self.subplan_memo
         grouped = evaluate_with_bindings(
             rewriting.query,
             self.db,
             virtual=self._materialized(),
-            planner=self.planner,
             plan=plan,
-            memo=self._active_memo(),
+            # A memo that neither holds nor wants anything is skipped:
+            # the executor then computes no prefix keys at all.
+            memo=memo if memo.worth_checking else None,
         )
         result: dict[tuple[Any, ...], CitationPolynomial] = {}
         for output, bindings in grouped.items():
@@ -625,19 +613,17 @@ class CitationEngine:
     def _tuple_polynomials(
         self,
         rewritings: tuple[Rewriting, ...],
-        plans: Sequence[QueryPlan] | None = None,
+        plans: Sequence[QueryPlan],
     ) -> TuplePolynomials:
         """Defs 3.1–3.3 for every output tuple of one conjunctive query.
 
-        ``plans``, when given, is aligned with ``rewritings`` — the
-        batch path plans while grouping shared prefixes and passes the
-        plans through so nothing is planned (or counted) twice.
+        ``plans`` is aligned with ``rewritings``: :meth:`_group_batch`
+        plans while reserving shared prefixes and passes the plans
+        through, so nothing is planned (or counted) twice.
         """
         per_rewriting = [
-            self._rewriting_polynomials(
-                rewriting, plans[index] if plans is not None else None
-            )
-            for index, rewriting in enumerate(rewritings)
+            self._rewriting_polynomials(rewriting, plan)
+            for rewriting, plan in zip(rewritings, plans)
         ]
         outputs: dict[tuple[Any, ...], None] = {}
         for polynomials in per_rewriting:
@@ -719,21 +705,26 @@ class CitationEngine:
     # public API
     # ------------------------------------------------------------------
 
-    def cite(self, query: ConjunctiveQuery | str) -> CitationResult:
+    def cite(
+        self, query: ConjunctiveQuery | UnionQuery | str
+    ) -> CitationResult:
         """Compute ``cite(D, Q, V)`` — the paper's Defs 3.1–3.4, end to end.
 
         Enumerates the Def 2.2 rewritings of the query, builds one
         ``·``-monomial per binding (Def 3.1), sums them into per-tuple,
         per-rewriting polynomials (Def 3.2), combines the rewritings with
         ``+R`` (Def 3.3 / Section 3.4 "best"), and aggregates across the
-        result set with ``Agg`` (Def 3.4).
+        result set with ``Agg`` (Def 3.4).  A union's tuple is cited by
+        ``+`` over the disjuncts that derive it.  This is
+        ``cite_batch([query])[0]``.
 
         Parameters
         ----------
         query:
-            The user query — a :class:`~repro.cq.query.ConjunctiveQuery`
-            or a Datalog string (parsed with
-            :func:`~repro.cq.parser.parse_query`).
+            The user query — a :class:`~repro.cq.query.ConjunctiveQuery`,
+            a :class:`~repro.cq.ucq.UnionQuery`, or Datalog text: one
+            rule is a conjunctive query, a stack of rules a union
+            (:func:`~repro.cq.ucq.parse_datalog`).
 
         Returns
         -------
@@ -742,63 +733,70 @@ class CitationEngine:
             aggregated polynomial, and the rendered citation records
             under this engine's policy.
         """
-        if isinstance(query, str):
-            query = parse_query(query)
-        rewritings = tuple(self.rewriting_engine.rewrite(query))
-        return self._cite_with_rewritings(query, rewritings)
-
-    def _cite_with_rewritings(
-        self,
-        query: ConjunctiveQuery,
-        rewritings: tuple[Rewriting, ...],
-        plans: Sequence[QueryPlan] | None = None,
-    ) -> CitationResult:
-        """The Def 3.1–3.4 pipeline over pre-enumerated rewritings
-        (``plans`` as in :meth:`_tuple_polynomials`)."""
-        return self._assemble(
-            query, rewritings, self._tuple_polynomials(rewritings, plans)
-        )
+        return self.cite_batch([query])[0]
 
     def cite_batch(
         self,
-        queries: "Sequence[ConjunctiveQuery | str]",
+        queries: "Sequence[ConjunctiveQuery | UnionQuery | str]",
     ) -> list[CitationResult]:
         """Cite a whole workload, sharing work across the queries.
 
-        This is the repository-front-end entry point: repeated or
-        template-shaped traffic pays each expensive step once —
+        The one citation pipeline: :meth:`cite`, :meth:`cite_union`,
+        :meth:`cite_sql`, the service and the workload runner all cite
+        through it.  A conjunctive query is a union of one rule; a union
+        contributes its minimized disjuncts
+        (:meth:`~repro.cq.ucq.UnionQuery.minimized`).  Every disjunct of
+        the batch is rewritten and planned, and has its shared plan
+        prefixes reserved, together (:meth:`_group_batch`).  Each
+        query's result is then Defs 3.1–3.3 per disjunct, ``+`` across
+        the disjuncts that produce a tuple, and Def 3.4
+        (:meth:`_cite_query`).
+
+        Repeated or template-shaped traffic pays each expensive step
+        once —
 
         - rewriting enumeration is memoized per α-equivalence class
           (:attr:`rewriting_engine`, so a follow-up batch starts warm);
         - query plans are shared through :attr:`planner`;
         - views are materialized once up front, and their hash indexes
-          accumulate across the batch.
+          accumulate across the batch;
+        - a join prefix shared by two or more plans of the batch is
+          evaluated once through the :attr:`subplan_memo`.
 
         Parameters
         ----------
         queries:
-            The workload, as query objects or Datalog strings.
+            The workload, as query objects or Datalog text (see
+            :meth:`cite`).
 
         Returns
         -------
-        One :class:`CitationResult` per query, in order.  Results are
-        identical with sub-plan sharing on or off.
+        One :class:`CitationResult` per query, in order: the citation
+        each query gets when cited alone.
         """
-        self._materialized()
-        batch = self._group_batch(queries)
+        submitted = [
+            parse_datalog(query) if isinstance(query, str) else query
+            for query in queries
+        ]
+        disjuncts = [
+            query.minimized().disjuncts if isinstance(query, UnionQuery)
+            else (query,)
+            for query in submitted
+        ]
+        grouped = iter(self._group_batch(
+            [disjunct for group in disjuncts for disjunct in group]
+        ))
         return [
-            self._cite_with_rewritings(query, rewritings, plans)
-            for query, rewritings, plans in batch
+            self._cite_query(query, [next(grouped) for __ in group])
+            for query, group in zip(submitted, disjuncts)
         ]
 
     def _group_batch(
-        self, queries: "Sequence[ConjunctiveQuery | str]"
-    ) -> list[
-        tuple[ConjunctiveQuery, tuple[Rewriting, ...], tuple[QueryPlan, ...]]
-    ]:
+        self, disjuncts: Sequence[ConjunctiveQuery]
+    ) -> list[tuple[tuple[Rewriting, ...], tuple[QueryPlan, ...]]]:
         """Rewrite and plan the batch, reserving shared plan prefixes.
 
-        Every rewriting of every query is enumerated (through the
+        Every rewriting of every disjunct is enumerated (through the
         rewriting cache) and planned (through the plan cache) exactly
         once here; the prefix keys of all the plans are counted, and
         each plan's *longest* prefix key carried by two or more plans is
@@ -812,60 +810,41 @@ class CitationEngine:
         reserves that shorter key itself).
         """
         virtual = self._materialized()
-        batch: list[
-            tuple[
-                ConjunctiveQuery,
-                tuple[Rewriting, ...],
-                tuple[QueryPlan, ...],
-            ]
-        ] = []
-        for query in queries:
-            if isinstance(query, str):
-                query = parse_query(query)
-            rewritings = tuple(self.rewriting_engine.rewrite(query))
+        batch = []
+        for disjunct in disjuncts:
+            rewritings = tuple(self.rewriting_engine.rewrite(disjunct))
             plans = tuple(
                 self.planner.plan(rewriting.query, virtual)
                 for rewriting in rewritings
             )
-            batch.append((query, rewritings, plans))
-        if self.share_subplans:
-            reserve_shared_prefixes(
-                [plan for __, __, plans in batch for plan in plans],
-                self.subplan_memo,
-            )
+            batch.append((rewritings, plans))
+        reserve_shared_prefixes(
+            [plan for __, plans in batch for plan in plans],
+            self.subplan_memo,
+        )
         return batch
 
-    def cite_sql(self, sql: str) -> CitationResult:
-        """Compute the citation for a SQL SELECT statement."""
-        return self.cite(parse_sql(sql, self.db.schema))
-
-    def cite_union(self, union: "UnionQuery | str") -> CitationResult:
-        """Citation for a union of conjunctive queries (SPJU's U).
+    def _cite_query(
+        self,
+        query: ConjunctiveQuery | UnionQuery,
+        batch: list[tuple[tuple[Rewriting, ...], tuple[QueryPlan, ...]]],
+    ) -> CitationResult:
+        """One query's result from its disjuncts' rewritings and plans.
 
         Disjuncts are alternative derivations of the same output tuples,
         so per-tuple citations combine with ``+`` across disjuncts —
-        exactly the alternative-use semantics of Section 3.1 — and the
-        aggregate then proceeds as usual.
-
-        Disjuncts ride the batch pipeline: every rewriting of every
-        disjunct is planned through the shared plan cache, and the
-        disjuncts' common join prefixes — unions overlap heavily by
-        construction — are reserved in the sub-plan memo so each shared
-        prefix is materialized once per union rather than once per
-        disjunct (``share_subplans=False`` restores per-disjunct
-        evaluation; results are identical either way).
-
-        Each disjunct stops after Defs 3.1–3.3; the union is aggregated
-        and rendered once.
+        exactly the alternative-use semantics of Section 3.1.  Each
+        disjunct stops after Defs 3.1–3.3; the query is aggregated and
+        rendered once (:meth:`_assemble`).
         """
-        if isinstance(union, str):
-            union = parse_union_query(union)
         disjuncts = [
             (rewritings, self._tuple_polynomials(rewritings, plans))
-            for __, rewritings, plans in self._group_batch(
-                union.minimized().disjuncts
-            )
+            for rewritings, plans in batch
         ]
+        if len(disjuncts) == 1:
+            # One disjunct's polynomials are already in normal form.
+            ((rewritings, polynomials),) = disjuncts
+            return self._assemble(query, rewritings, polynomials)
 
         outputs: dict[tuple[Any, ...], None] = {}
         for __, polynomials in disjuncts:
@@ -900,7 +879,17 @@ class CitationEngine:
             for rewritings, __ in disjuncts
             for rewriting in rewritings
         )
-        return self._assemble(union, all_rewritings, tuples)
+        return self._assemble(query, all_rewritings, tuples)
+
+    def cite_sql(self, sql: str) -> CitationResult:
+        """Compute the citation for a SQL SELECT statement."""
+        return self.cite(parse_sql(sql, self.db.schema))
+
+    def cite_union(self, union: UnionQuery | str) -> CitationResult:
+        """Citation for a union of conjunctive queries (SPJU's U):
+        :meth:`cite`, which combines a tuple's citations with ``+``
+        across the disjuncts that produce it."""
+        return self.cite(union)
 
     def cite_view(
         self, view_name: str, params: tuple[Any, ...] = ()

@@ -50,7 +50,7 @@ from repro.citation.policy import (
     comprehensive_policy,
     focused_policy,
 )
-from repro.cq.ucq import is_union_text, parse_union_query
+from repro.cq.ucq import parse_datalog
 from repro.errors import ReproError
 from repro.relational.io import dump_project, load_project
 from repro.rewriting.engine import enumerate_rewritings
@@ -182,17 +182,13 @@ def cmd_rewrite(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_for_analysis(text: str, db: Any, sql: bool) -> Any:
+def _parse(text: str, db: Any, sql: bool) -> Any:
     """The query object behind CLI text: a CQ, or a UnionQuery."""
     if sql:
         from repro.cq.sql_parser import parse_sql
 
         return parse_sql(text, db.schema)
-    if is_union_text(text):
-        return parse_union_query(text)
-    from repro.cq.parser import parse_query
-
-    return parse_query(text)
+    return parse_datalog(text)
 
 
 def _analyze(query: Any, db: Any) -> list:
@@ -229,7 +225,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     from repro.analysis import has_errors, render_diagnostics
 
     db, __ = _load(args.project)
-    query = _parse_for_analysis(args.query, db, args.sql)
+    query = _parse(args.query, db, args.sql)
     diagnostics = _analyze(query, db)
     print(render_diagnostics(diagnostics))
     lint_findings = []
@@ -268,18 +264,11 @@ def cmd_cite(args: argparse.Namespace) -> int:
     from repro.analysis import has_errors
 
     db, registry = _load(args.project)
-    diagnostics = _analyze(
-        _parse_for_analysis(args.query, db, args.sql), db
-    )
+    query = _parse(args.query, db, args.sql)
+    diagnostics = _analyze(query, db)
     if has_errors(diagnostics):
         return _report_empty_query(diagnostics)
-    engine = _build_engine(db, registry, args.policy)
-    if args.sql:
-        result = engine.cite_sql(args.query)
-    elif is_union_text(args.query):
-        result = engine.cite_union(args.query)
-    else:
-        result = engine.cite(args.query)
+    result = _build_engine(db, registry, args.policy).cite(query)
     renderer = _FORMATS[args.format]
     print(renderer(result))
     if args.explain:
@@ -308,7 +297,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     from repro.cq.ucq import UnionQuery
 
     db, __ = _load(args.project)
-    query = _parse_for_analysis(args.query, db, args.sql)
+    query = _parse(args.query, db, args.sql)
     diagnostics = _analyze(query, db)
     if isinstance(query, UnionQuery):
         from repro.cq.subplan import SubplanMemo

@@ -1231,22 +1231,6 @@ class QueryPlanner:
         self._exact_cache.put(query, plan, *tags)
         return _maybe_verify(plan)
 
-    def plan_union(
-        self,
-        union: "Sequence[ConjunctiveQuery]",
-        virtual: VirtualRelations | None = None,
-    ) -> tuple[QueryPlan, ...]:
-        """One plan per disjunct of a union, each through the cache.
-
-        Accepts any sequence of conjunctive queries (in particular a
-        :class:`~repro.cq.ucq.UnionQuery`); disjuncts of one union are
-        α-overlapping by construction, so their plans share cache
-        entries and — once their common prefixes are reserved in a
-        :class:`~repro.cq.subplan.SubplanMemo` — their executions share
-        materialized prefix bindings too.
-        """
-        return tuple(self.plan(disjunct, virtual) for disjunct in union)
-
     def clear(self) -> None:
         self._canonical_cache.clear()
         self._exact_cache.clear()

@@ -155,14 +155,19 @@ def reserve_shared_prefixes(
     """Reserve each plan's longest prefix key carried by ≥ 2 plans.
 
     This is the reservation discipline of
-    :meth:`~repro.citation.generator.CitationEngine.cite_batch`, shared
-    with the UCQ path (disjuncts of one union overlap heavily by
-    construction) and the CLI: prefix keys of all the plans are counted,
-    and each plan reserves only its *longest* key that at least two
-    plans carry — single-shot prefixes never pay materialization, and
-    intermediate levels nobody would seed from stay out of the memo.
-    Returns the number of reservations made (shared prefixes found).
+    :meth:`~repro.citation.generator.CitationEngine.cite_batch` (over
+    every disjunct of every query in the batch), shared with
+    :meth:`~repro.cq.ucq.UnionQuery.evaluate` and
+    :meth:`~repro.cq.ucq.UnionQuery.explain`: prefix keys of all the
+    plans are counted, and each plan reserves only its *longest* key
+    that at least two plans carry — single-shot prefixes never pay
+    materialization, and intermediate levels nobody would seed from stay
+    out of the memo.  Fewer than two plans share nothing, so no prefix
+    key is computed for them.  Returns the number of reservations made
+    (shared prefixes found).
     """
+    if len(plans) < 2:
+        return 0
     all_keys = [
         prefix_keys(plan)[0] for plan in plans if not plan.empty
     ]

@@ -4,7 +4,9 @@ Section 3.1 restricts attention to **SPJU** queries: select, project,
 join, *union*.  Alternative disjuncts of a union are classic "+"
 combinations — the same alternative-use semantics as multiple bindings —
 so the citation of a UCQ result tuple is the ``+`` of the citations it
-receives from each disjunct that produces it.
+receives from each disjunct that produces it, and a conjunctive query
+is a union of one rule
+(:meth:`~repro.citation.generator.CitationEngine.cite_batch`).
 
 A :class:`UnionQuery` is a named list of conjunctive disjuncts with
 union-compatible heads.  The concrete syntax stacks rules with the same
@@ -99,13 +101,13 @@ class UnionQuery:
         """One cost-based plan per disjunct.
 
         With a ``planner`` each disjunct goes through the shared
-        α-equivalence plan cache (:meth:`QueryPlanner.plan_union`);
-        without one the disjuncts are planned from scratch.
+        α-equivalence plan cache (:meth:`QueryPlanner.plan`); without
+        one the disjuncts are planned from scratch.
         """
-        if planner is not None:
-            return planner.plan_union(self, virtual)
         return tuple(
-            plan_query(disjunct, db, virtual) for disjunct in self.disjuncts
+            planner.plan(disjunct, virtual) if planner is not None
+            else plan_query(disjunct, db, virtual)
+            for disjunct in self.disjuncts
         )
 
     def evaluate(
@@ -221,11 +223,6 @@ def _split_rules(text: str) -> list[str]:
     return [rule for rule in rules if rule]
 
 
-def is_union_text(text: str) -> bool:
-    """True when Datalog text stacks more than one rule (a UCQ)."""
-    return len(_split_rules(text)) > 1
-
-
 def parse_union_query(text: str, default_name: str = "Q") -> UnionQuery:
     """Parse a stack of rules separated by ``;`` or line breaks.
 
@@ -240,3 +237,11 @@ def parse_union_query(text: str, default_name: str = "Q") -> UnionQuery:
             f"union rules must share a head predicate, got {sorted(names)}"
         )
     return UnionQuery(rules)
+
+
+def parse_datalog(text: str) -> ConjunctiveQuery | UnionQuery:
+    """Parse Datalog text: one rule is a conjunctive query, a stack of
+    rules (see :func:`parse_union_query`) is a union."""
+    if len(_split_rules(text)) > 1:
+        return parse_union_query(text)
+    return parse_query(text)

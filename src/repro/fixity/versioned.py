@@ -25,6 +25,11 @@ from repro.relational.schema import Schema
 from repro.util.lru import VersionedLRU
 from repro.views.registry import ViewRegistry
 
+#: Committed versions held reconstructed at once, as snapshots and as
+#: citation engines over them: each is a whole database, so keep only a
+#: handful; replays rebuild evicted versions.
+MAX_HELD_VERSIONS = 8
+
 
 @dataclass(frozen=True)
 class Version:
@@ -57,11 +62,10 @@ class VersionedDatabase:
         self._log: list[_Event] = []
         self._versions: list[Version] = [Version(0, initial_tag, 0)]
         self._working = Database(schema)
-        # Reconstructed snapshots are whole databases, so keep only a
-        # handful; replays rebuild evicted versions.  Committed versions
-        # never change, so entries carry no version tags.
+        # Committed versions never change, so entries carry no version
+        # tags.
         self._cache: VersionedLRU[int, Database] = VersionedLRU(
-            8, "snapshot cache"
+            MAX_HELD_VERSIONS, "snapshot cache"
         )
 
     # -- mutation --------------------------------------------------------------
@@ -145,14 +149,18 @@ class VersionedCitationEngine:
         self.versioned = versioned
         self.registry = registry
         self.policy = policy
-        self._engines: dict[int, CitationEngine] = {}
+        # One warm engine per recently cited version, bounded like the
+        # snapshots: an evicted version is rebuilt on its next use.
+        self._engines: VersionedLRU[int, CitationEngine] = VersionedLRU(
+            MAX_HELD_VERSIONS, "engine cache"
+        )
 
     def _engine_for(self, version: Version) -> CitationEngine:
         engine = self._engines.get(version.number)
         if engine is None:
             db = self.versioned.as_of(version)
             engine = CitationEngine(db, self.registry, policy=self.policy)
-            self._engines[version.number] = engine
+            self._engines.put(version.number, engine)
         return engine
 
     # -- planned evaluation ---------------------------------------------------
@@ -164,7 +172,8 @@ class VersionedCitationEngine:
     ) -> QueryPlan:
         """The cached cost-based plan for ``query`` as of a version.
 
-        Each committed version keeps its own warm
+        Each recently used committed version (up to
+        :data:`MAX_HELD_VERSIONS`) keeps its own warm
         :class:`~repro.citation.generator.CitationEngine` (and hence its
         own :class:`~repro.cq.plan.QueryPlanner` over the reconstructed
         state), so plans are naturally keyed by ``(query, version)`` and

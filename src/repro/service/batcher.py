@@ -12,11 +12,14 @@ thread at a time:
   queued and executed in admission order on a single worker, so a write
   is either entirely before or entirely after any read — in-flight
   citations always see a consistent snapshot;
-- consecutive queued single-query ``cite`` jobs coalesce into **one**
+- consecutive queued single-query ``cite`` jobs, conjunctive or union,
+  coalesce into **one**
   :meth:`~repro.citation.generator.CitationEngine.cite_batch` call
   (after a short linger window that lets concurrently-arriving clients
   pile on), so concurrent traffic shares the sub-plan memo and plan
-  cache exactly like a hand-built batch would;
+  cache exactly like a hand-built batch would.  When the coalesced call
+  raises, each job is cited alone, so a failing query fails only its
+  own request;
 - the queue is bounded: when ``max_pending`` jobs are outstanding,
   :meth:`EngineLane.submit_cite` / :meth:`EngineLane.submit` raise
   :class:`AdmissionFull` and the server answers 429 with
@@ -33,12 +36,13 @@ from __future__ import annotations
 
 import asyncio
 from collections import deque
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from typing import Any
 
 from repro.analysis import sanitizer as _sanitizer
 from repro.citation.generator import CitationEngine, CitationResult
 from repro.cq.query import ConjunctiveQuery
+from repro.cq.ucq import UnionQuery
 
 
 class AdmissionFull(Exception):
@@ -182,13 +186,15 @@ class EngineLane:
         self._outstanding -= 1
 
     def submit_cite(
-        self, query: ConjunctiveQuery
+        self, query: ConjunctiveQuery | UnionQuery
     ) -> "asyncio.Future[CitationResult]":
-        """Queue one conjunctive query for micro-batched citation."""
+        """Queue one query, conjunctive or union, for micro-batched
+        citation."""
         return self._admit("cite", query)
 
     def submit(self, fn: Callable[[], Any]) -> "asyncio.Future[Any]":
-        """Queue an exclusive engine job (mutation, plan, union cite…).
+        """Queue an exclusive engine job (mutation, plan, analysis, a
+        whole ``/cite-batch``…).
 
         ``fn`` runs alone on the worker thread, strictly ordered against
         every other job — the consistency story for writes.
@@ -210,7 +216,7 @@ class EngineLane:
             if job.kind == "cite":
                 await self._run_cite_batch(job)
             else:
-                await self._run_call(job)
+                await self._run_call(job.future, job.payload)
 
     def _run_owned(self, fn: Callable[[], Any]) -> Any:
         """Run a lane job with the lane's mutation grant.
@@ -224,13 +230,15 @@ class EngineLane:
         with _sanitizer.owner_context(self._owned_db):
             return fn()
 
-    async def _run_call(self, job: _Job) -> None:
+    async def _run_call(
+        self, future: "asyncio.Future[Any]", fn: Callable[[], Any]
+    ) -> None:
         try:
-            result = await asyncio.to_thread(self._run_owned, job.payload)
+            result = await asyncio.to_thread(self._run_owned, fn)
         except BaseException as exc:  # noqa: B036 - forwarded, not handled
-            _deliver(job.future, error=exc)
+            _deliver(future, error=exc)
         else:
-            _deliver(job.future, result)
+            _deliver(future, result)
 
     def _coalesce(self, first: _Job) -> list[_Job]:
         """The micro-batch: ``first`` plus every immediately-following
@@ -256,6 +264,19 @@ class EngineLane:
             results = await asyncio.to_thread(
                 self._run_owned, lambda: self.engine.cite_batch(queries)
             )
+        except Exception as exc:  # noqa: B902 - forwarded per future
+            if len(batch) == 1:
+                _deliver(first.future, error=exc)
+            else:
+                # One query's error must not fail its batch-mates: cite
+                # each alone, so each gets its own result or error.
+                for job in batch:
+                    await self._run_call(
+                        job.future,
+                        lambda query=job.payload: self.engine.cite_batch(
+                            [query]
+                        )[0],
+                    )
         except BaseException as exc:  # noqa: B036 - forwarded per future
             for job in batch:
                 _deliver(job.future, error=exc)
@@ -279,10 +300,3 @@ async def wait_bounded(
     if timeout is None:
         return await future
     return await asyncio.wait_for(asyncio.shield(future), timeout)
-
-
-def parse_queries(texts: Sequence[str]) -> list[ConjunctiveQuery]:
-    """Parse a batch of Datalog strings (service-side helper)."""
-    from repro.cq.parser import parse_query
-
-    return [parse_query(text) for text in texts]

@@ -8,8 +8,9 @@ secondary/composite indexes, relation statistics — amortizes across
 (all JSON over HTTP/1.1; see ``docs/service.md`` for schemas):
 
 ========================  ====================================================
-``POST /cite``            cite one query; concurrent requests are
-                          micro-batched into ``cite_batch`` across clients
+``POST /cite``            cite one query, conjunctive or union; concurrent
+                          requests are micro-batched into ``cite_batch``
+                          across clients
 ``POST /cite-batch``      cite a list of queries as one shared batch
 ``POST /plan``            EXPLAIN + QA diagnostics as JSON
 ``POST /analyze``         QA diagnostics only
@@ -43,7 +44,8 @@ from typing import Any
 
 from repro.analysis import analyze_query, analyze_union, has_errors
 from repro.citation.generator import CitationEngine, CitationResult
-from repro.cq.ucq import UnionQuery, is_union_text, parse_union_query
+from repro.cq.subplan import SubplanMemo
+from repro.cq.ucq import UnionQuery, parse_datalog
 from repro.errors import ReproError
 from repro.service.batcher import (
     AdmissionFull,
@@ -123,25 +125,6 @@ def _diagnostic_json(diagnostics: list[Any]) -> list[dict[str, Any]]:
             "message": finding.describe(),
         }
         for finding in diagnostics
-    ]
-
-
-def cite_mixed(
-    engine: CitationEngine, queries: list[Any]
-) -> list[CitationResult]:
-    """Cite a parsed mixed CQ/UCQ batch in order (one engine pass).
-
-    The CQ subset goes through one ``cite_batch`` (maximal cross-query
-    sharing), unions through ``cite_union``; results return in request
-    order — the same interleave as
-    :func:`repro.workload.runner.run_workload`.
-    """
-    conjunctive = [q for q in queries if not isinstance(q, UnionQuery)]
-    batched = iter(engine.cite_batch(conjunctive))
-    return [
-        engine.cite_union(query) if isinstance(query, UnionQuery)
-        else next(batched)
-        for query in queries
     ]
 
 
@@ -387,11 +370,7 @@ class CitationService:
             from repro.cq.sql_parser import parse_sql
 
             return parse_sql(text, self.engine.db.schema)
-        if is_union_text(text):
-            return parse_union_query(text)
-        from repro.cq.parser import parse_query
-
-        return parse_query(text)
+        return parse_datalog(text)
 
     async def _analyze_on_lane(self, query: Any) -> list[Any]:
         """QA diagnostics, serialized with writes on the engine lane."""
@@ -441,13 +420,9 @@ class CitationService:
                             sql=bool(body.get("sql")))
         diagnostics = await self._analyze_on_lane(query)
         self._refuse_if_empty(diagnostics)
-        if isinstance(query, UnionQuery):
-            future = self.lane.submit(
-                lambda: self.engine.cite_union(query)
-            )
-        else:
-            future = self.lane.submit_cite(query)
-        result: CitationResult = await self._bounded(future)
+        result: CitationResult = await self._bounded(
+            self.lane.submit_cite(query)
+        )
         payload = result.citation()
         if body.get("include_tuples"):
             payload["tuples"] = [
@@ -488,7 +463,7 @@ class CitationService:
             })
         engine = self.engine
         results: list[CitationResult] = await self._bounded(
-            self.lane.submit(lambda: cite_mixed(engine, queries))
+            self.lane.submit(lambda: engine.cite_batch(queries))
         )
         return 200, {
             "count": len(results),
@@ -505,14 +480,17 @@ class CitationService:
         engine = self.engine
 
         def job() -> str:
+            virtual = engine.materialized_views()
             if isinstance(query, UnionQuery):
+                # Shared-prefix lines come from a throwaway memo: an
+                # EXPLAIN must not reserve prefixes in the engine's.
                 return query.explain(
-                    engine.db, memo=engine.subplan_memo,
-                    diagnostics=diagnostics,
+                    engine.db, engine.planner, SubplanMemo(), virtual,
+                    diagnostics,
                 )
-            return engine.planner.plan(
-                query, engine.materialized_views()
-            ).explain(diagnostics=diagnostics)
+            return engine.planner.plan(query, virtual).explain(
+                diagnostics=diagnostics
+            )
 
         explain_text = await self._bounded(self.lane.submit(job))
         payload = {

@@ -24,7 +24,7 @@ from typing import Any
 
 from repro.citation.generator import CitationEngine, CitationResult
 from repro.cq.query import ConjunctiveQuery
-from repro.cq.ucq import UnionQuery, is_union_text
+from repro.cq.ucq import UnionQuery
 from repro.workload.logs import QueryLog
 
 
@@ -112,11 +112,10 @@ def run_workload(
     of the workload — and measures what the shared caches saved.
 
     Workloads may mix query classes: :class:`~repro.cq.ucq.UnionQuery`
-    entries (or multi-rule Datalog strings) route through
-    :meth:`~repro.citation.generator.CitationEngine.cite_union`, plain
-    conjunctive queries batch through ``cite_batch``; results come back
-    in workload order either way, and the report counts queries per
-    class in :attr:`WorkloadReport.per_class`.
+    entries (or multi-rule Datalog strings) and conjunctive queries cite
+    in one ``cite_batch`` call, and results come back in workload order;
+    the report counts queries per class in
+    :attr:`WorkloadReport.per_class`.
 
     Parameters
     ----------
@@ -152,18 +151,6 @@ def run_workload(
     else:
         queries = list(workload)
 
-    def class_of(query: ConjunctiveQuery | UnionQuery | str) -> str:
-        if isinstance(query, UnionQuery):
-            return "ucq"
-        if isinstance(query, str) and is_union_text(query):
-            return "ucq"
-        return "cq"
-
-    classes = [class_of(query) for query in queries]
-    per_class: dict[str, int] = {}
-    for name in classes:
-        per_class[name] = per_class.get(name, 0) + 1
-
     planner = engine.planner
     rewriter = engine.rewriting_engine
     memo = engine.subplan_memo
@@ -175,35 +162,21 @@ def run_workload(
     subplan_misses_before = memo.misses
 
     started = time.perf_counter()
-    conjunctive = [
-        query
-        for query, name in zip(queries, classes)
-        if name == "cq"
-    ]
-    # One cite_batch over every CQ entry (maximal cross-query sharing),
-    # then unions through cite_union in place; both pipelines share the
-    # same planner, memo, and rewriting cache, so order of execution
-    # does not affect results — only which call warms which entry first.
-    batch_results = iter(engine.cite_batch(conjunctive))
-    results = [
-        engine.cite_union(query) if name == "ucq" else next(batch_results)
-        for query, name in zip(queries, classes)
-    ]
+    results = engine.cite_batch(queries)
     elapsed = time.perf_counter() - started
+
+    # Each result carries its query as submitted, text parsed.
+    per_class: dict[str, int] = {}
+    for result in results:
+        name = "ucq" if isinstance(result.query, UnionQuery) else "cq"
+        per_class[name] = per_class.get(name, 0) + 1
 
     diagnostics: dict[str, int] = {}
     if analyze:
         from repro.analysis import analyze_query, analyze_union
-        from repro.cq.parser import parse_query
-        from repro.cq.ucq import parse_union_query
 
-        for query, name in zip(queries, classes):
-            if isinstance(query, str):
-                query = (
-                    parse_union_query(query)
-                    if name == "ucq"
-                    else parse_query(query)
-                )
+        for result in results:
+            query = result.query
             findings = (
                 analyze_union(query, engine.db)
                 if isinstance(query, UnionQuery)

@@ -482,3 +482,49 @@ class TestReturnedRecordsAreTheCallers:
         for record in engine.cite_union(union).records:
             record["X"] = 1
         assert engine.cite_union(union).citation() == before
+
+
+class TestOnePipeline:
+    """Every query — conjunctive or union, object or text — is cited
+    through ``cite_batch``."""
+
+    UNION = ('Q(N) :- Family(F, N, Ty), Ty = "gpcr", FamilyIntro(F, Tx)\n'
+             'Q(N) :- Family(F, N, Ty), Ty = "vgic"')
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_interleaved_batch_equals_each_query_alone(
+        self, db, registry, policy
+    ):
+        from repro.cq.ucq import UnionQuery, parse_datalog, parse_union_query
+
+        queries = [
+            parse_query('Q(N) :- Family(F, N, Ty), Ty = "gpcr"'),
+            "Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx)",
+            parse_union_query(self.UNION),
+            'Q(N) :- Family(F, N, Ty), Ty = "gpcr"\n'
+            "Q(N) :- Family(F, N, Ty), FamilyIntro(F, Tx)",
+            UnionQuery([parse_query("Q(Pn) :- FC(F, C), Person(C, Pn, A)")]),
+            FAMILY_11,
+            self.UNION,
+        ]
+
+        def engine():
+            return CitationEngine(
+                db, registry, policy=POLICIES[policy](registry)
+            )
+
+        results = engine().cite_batch(queries)
+        assert len(results) == len(queries)
+        for query, result in zip(queries, results):
+            alone = engine().cite(query)
+            assert result.query == (
+                parse_datalog(query) if isinstance(query, str) else query
+            )
+            assert result.citation() == alone.citation()
+            assert result.rewritings == alone.rewritings
+            assert list(result.tuples) == list(alone.tuples)
+            for output, tc in result.tuples.items():
+                assert tc.polynomial == alone.tuples[output].polynomial
+                assert tc.per_rewriting == alone.tuples[output].per_rewriting
+                assert tc.records == alone.tuples[output].records
+            assert result.aggregate_polynomial == alone.aggregate_polynomial

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cq.parser import parse_query
-from repro.cq.ucq import UnionQuery, is_union_text, parse_union_query
+from repro.cq.ucq import UnionQuery, parse_datalog, parse_union_query
 from repro.errors import QueryError
 
 
@@ -43,8 +43,8 @@ class TestParsing:
     def test_separators_inside_quoted_constants(self):
         first = 'Q(N) :- Family(F, N, Ty), Ty = "a;b"'
         second = "Q(N) :- Family(F, N, Ty), Ty = 'c\nd'"
-        assert not is_union_text(first)
-        assert not is_union_text(second)
+        assert parse_datalog(first) == parse_query(first)
+        assert parse_datalog(second) == parse_query(second)
         union = parse_union_query(f"{first}; {second}")
         assert union.disjuncts == (parse_query(first), parse_query(second))
 
@@ -134,6 +134,17 @@ class TestUnionCitations:
         result = focused_engine.cite_union(text)
         assert result.query == parse_union_query(text)
         assert result.citation()["query"] == text
+
+    def test_subsumed_disjunct_adds_nothing(self, focused_engine):
+        # Minimization runs before citing: the contained rule brings no
+        # rewriting and no record of its own.
+        result = focused_engine.cite_union(
+            'Q(N) :- Family(F, N, Ty)\n'
+            'Q(N) :- Family(F, N, Ty), Ty = "gpcr"'
+        )
+        alone = focused_engine.cite("Q(N) :- Family(F, N, Ty)")
+        assert result.rewritings == alone.rewritings
+        assert result.records == alone.records
 
     def test_accepts_union_query_object(self, focused_engine):
         union = parse_union_query(self.UNION)
@@ -229,15 +240,29 @@ class TestEdgeSemantics:
 
     def test_duplicate_tuples_keep_plus_combination(self, db, registry):
         # Both disjuncts produce every gpcr family name; the +-combined
-        # citations must be identical with and without sub-plan sharing.
+        # citations must equal the policy's + over each disjunct cited
+        # alone, on a fresh engine that shares no sub-plan with the other.
         from repro.citation.generator import CitationEngine
+        from repro.citation.order import normal_form
 
-        union = ('Q(N) :- Family(F, N, Ty), Ty = "gpcr"\n'
-                 'Q(N) :- Family(F, N, Ty), Ty = "gpcr", FC(F, C)')
-        shared = CitationEngine(db, registry, share_subplans=True)
-        unshared = CitationEngine(db, registry, share_subplans=False)
-        left = shared.cite_union(union)
-        right = unshared.cite_union(union)
+        union = parse_union_query(
+            'Q(N) :- Family(F, N, Ty), Ty = "gpcr"\n'
+            'Q(N) :- Family(F, N, Ty), Ty = "gpcr", FC(F, C)'
+        )
+        left = CitationEngine(db, registry).cite_union(union)
+        unshared = CitationEngine(db, registry)
+        per_tuple = {}
+        for disjunct in union.minimized():
+            alone = CitationEngine(db, registry)
+            for output, tc in alone.cite(disjunct).tuples.items():
+                per_tuple.setdefault(output, []).append(tc.polynomial)
+            assert alone.subplan_memo.hits == 0
+        right = unshared._assemble(union, (), {
+            output: ((), normal_form(
+                unshared._plus(polynomials), unshared.policy.order
+            ))
+            for output, polynomials in per_tuple.items()
+        })
         assert list(left.tuples) == list(right.tuples)
         assert self._polynomials(left) == self._polynomials(right)
         assert left.records == right.records

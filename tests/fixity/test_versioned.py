@@ -1,9 +1,16 @@
 """Tests for versioned databases and version-stamped citations."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import VersionError
-from repro.fixity.versioned import VersionedCitationEngine, VersionedDatabase
+from repro.fixity.versioned import (
+    MAX_HELD_VERSIONS,
+    VersionedCitationEngine,
+    VersionedDatabase,
+)
 from repro.gtopdb.schema import gtopdb_schema
 from repro.gtopdb.views import paper_registry
 
@@ -92,6 +99,23 @@ class TestVersionedCitations:
         engine.cite("Q(N) :- Family(F, N, Ty)", version="r1")
         engine.cite("Q(N) :- Family(F, N, Ty)", version="r1")
         assert len(engine._engines) == 1
+
+    def test_engines_held_for_a_bounded_number_of_versions(self):
+        versioned = VersionedDatabase(gtopdb_schema())
+        tags = [f"r{number}" for number in range(MAX_HELD_VERSIONS + 2)]
+        for number, tag in enumerate(tags):
+            versioned.insert("Family", str(number), f"Fam{number}", "gpcr")
+            versioned.commit(tag)
+        engine = VersionedCitationEngine(versioned, paper_registry())
+        query = "Q(N) :- Family(F, N, Ty)"
+        oldest = weakref.ref(engine._engine_for(versioned.resolve(tags[0])))
+        first = engine.cite(query, tags[0]).citation()
+        for tag in tags[1:]:
+            engine.cite(query, tag)
+        assert len(engine._engines) == MAX_HELD_VERSIONS
+        gc.collect()
+        assert oldest() is None  # evicted, and nothing else holds it
+        assert engine.cite(query, tags[0]).citation() == first
 
 
 class TestVersionedPlannedEvaluation:

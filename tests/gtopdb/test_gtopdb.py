@@ -206,5 +206,5 @@ class TestPortal:
         from repro.gtopdb.views import GtoPdbPortal
 
         engine = CitationEngine(db, paper_registry())
-        with pytest.raises(TypeError):
-            GtoPdbPortal(db, engine=engine, share_subplans=False)
+        with pytest.raises(TypeError, match="not both"):
+            GtoPdbPortal(db, engine=engine, include_partial=False)

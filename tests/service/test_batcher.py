@@ -6,6 +6,7 @@ timeout semantics are tested deterministically without citation work.
 """
 
 import asyncio
+import threading
 import time
 
 import pytest
@@ -175,6 +176,44 @@ class TestErrorsAndTimeouts:
         assert all(
             isinstance(outcome, RuntimeError) for outcome in outcomes
         )
+
+    def test_failing_query_fails_only_its_own_job(self):
+        class PickyEngine(StubEngine):
+            def cite_batch(self, queries):
+                self.batches.append(list(queries))
+                if "bad" in queries:
+                    raise ValueError("bad query")
+                return [f"cited:{query}" for query in queries]
+
+        async def go():
+            engine = PickyEngine()
+            lane = EngineLane(engine, batch_linger_s=0)
+            lane.start()
+            running, release = threading.Event(), threading.Event()
+
+            def block():
+                running.set()
+                return release.wait(5.0)
+
+            blocker = lane.submit(block)
+            assert await asyncio.to_thread(running.wait, 5.0)
+            # Both cites queue behind the running job, so they coalesce
+            # into one batch without any linger.
+            good = lane.submit_cite("good")
+            bad = lane.submit_cite("bad")
+            release.set()
+            outcomes = await asyncio.gather(
+                blocker, good, bad, return_exceptions=True
+            )
+            await lane.stop()
+            return engine.batches, outcomes
+
+        batches, (blocked, good, bad) = asyncio.run(go())
+        # The failed batch is retried one job at a time.
+        assert batches == [["good", "bad"], ["good"], ["bad"]]
+        assert blocked is True
+        assert good == "cited:good"
+        assert isinstance(bad, ValueError)
 
     def test_timeout_abandons_waiter_not_job(self):
         async def go():

@@ -131,6 +131,20 @@ class TestPlanAndAnalyze:
         assert reply.status == 200
         assert reply.data["explain"]
 
+    def test_plan_union_uses_engine_plans_not_its_memo(self, client):
+        union = ('Q(N) :- Family(F, N, Ty), FC(F, P), Ty = "gpcr"\n'
+                 'Q(N) :- Family(F, N, Ty), FIC(F, P), Ty = "gpcr"')
+        first = client.plan(union)
+        before = client.stats()["engine"]
+        second = client.plan(union)
+        after = client.stats()["engine"]
+        assert first.status == second.status == 200
+        assert "shared prefix: step 1" in first.data["explain"]
+        # EXPLAIN reserves nothing in the engine's sub-plan memo…
+        assert after["subplan_memo"]["reserved"] == 0
+        # …and plans through the engine's plan cache.
+        assert after["plan_cache"]["hits"] - before["plan_cache"]["hits"] == 2
+
     def test_plan_of_empty_query_is_422(self, client):
         reply = client.plan(EMPTY)
         assert reply.status == 422

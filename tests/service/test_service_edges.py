@@ -13,6 +13,7 @@ from repro.gtopdb.views import paper_registry
 from repro.service import ServiceClient, ServiceConfig, ServiceThread
 
 GPCR = 'Q(N) :- Family(F, N, Ty), Ty = "gpcr"'
+VGIC = 'Q(N) :- Family(F, N, Ty), Ty = "vgic"'
 
 
 def fresh_engine():
@@ -257,6 +258,74 @@ class TestCrossClientBatching:
         # At least some coalescing happened: fewer engine batches than
         # requests, and one batch carried multiple clients' queries.
         assert batching["batches_executed"] < clients
+        assert batching["max_batch_size"] >= 2
+
+    def test_failing_query_fails_only_its_own_request(self):
+        """A λ-query cannot be rewritten; coalesced with a valid query,
+        it fails its own request and the valid one is still cited."""
+        bad = "lambda X. Q(N) :- Family(X, N, Ty)"
+        engine = fresh_engine()
+        original = engine.cite_batch
+        hold, occupied, release = (
+            threading.Event(), threading.Event(), threading.Event()
+        )
+
+        def held_cite_batch(queries):
+            if hold.is_set() and not occupied.is_set():
+                occupied.set()
+                release.wait(30.0)
+            return original(queries)
+
+        engine.cite_batch = held_cite_batch
+        expected = fresh_engine().cite(GPCR).citation()
+        config = ServiceConfig(port=0, batch_linger_s=0)
+        with ServiceThread(engine, config) as handle:
+            replies = {}
+
+            def cite(name, text):
+                client = ServiceClient(handle.base_url)
+                try:
+                    replies[name] = client.cite(text)
+                finally:
+                    client.close()
+
+            # Warm both analyses, so the two cites below go straight to
+            # the lane's queue.
+            cite("good", GPCR)
+            cite("bad", bad)
+            assert replies["bad"].status == 400
+            hold.set()
+            threads = [
+                threading.Thread(target=cite, args=("occupier", VGIC))
+            ]
+            threads[0].start()
+            observer = ServiceClient(handle.base_url)
+            try:
+                assert occupied.wait(5.0)
+                for name, text in (("good", GPCR), ("bad", bad)):
+                    threads.append(
+                        threading.Thread(target=cite, args=(name, text))
+                    )
+                    threads[-1].start()
+                # Both wait behind the held batch, so they coalesce.
+                deadline = time.monotonic() + 5.0
+                while (
+                    observer.stats()["admission"]["outstanding"] < 3
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.01)
+                release.set()
+                for thread in threads:
+                    thread.join(timeout=10.0)
+                batching = observer.stats()["service"]["batching"]
+            finally:
+                release.set()
+                observer.close()
+        assert replies["occupier"].status == 200
+        assert replies["good"].status == 200
+        assert replies["good"].data == expected
+        assert replies["bad"].status == 400
+        assert replies["bad"].data["kind"] == "RewritingError"
         assert batching["max_batch_size"] >= 2
 
 

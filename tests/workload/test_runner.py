@@ -163,7 +163,7 @@ class TestDescribeOnCoarseClocks:
 
 
 class TestUnionRouting:
-    """Mixed workloads: unions route through cite_union, CQs batch."""
+    """Mixed workloads: CQs and unions cite in one batch, in order."""
 
     UNION = ('Q(N) :- Family(F, N, Ty), Ty = "gpcr"\n'
              'Q(N) :- Family(F, N, Ty), Ty = "vgic"')
