@@ -8,19 +8,24 @@ absorbing ``Agg`` of a type-wide citation against the all-pairs
 definition.
 """
 
+import dataclasses
+import json
 import time
 from collections import Counter
 
 import pytest
 
+from repro.citation import generator
 from repro.citation.generator import CitationEngine
 from repro.citation.order import (
     FewestUncoveredOrder,
     FewestViewsOrder,
+    LexicographicOrder,
     ViewInclusionOrder,
     absorbing_sum,
     best_polynomials,
     normal_form,
+    token_shape,
 )
 from repro.citation.policy import focused_policy
 from repro.citation.polynomial import idempotent_sum, monomial_from_tokens
@@ -155,3 +160,71 @@ def test_e7_type_wide_aggregate_absorption(benchmark, registry, quick):
         f"{len(aggregate.monomials())} monomials: maximal {fast:.6f}s, "
         f"pairwise {pairwise:.6f}s, speedup {speedup:.2f}x"
     )
+
+
+class UnshapedChain(LexicographicOrder):
+    """A lexicographic chain that declares no shape: the engine asks it
+    for every tuple."""
+
+
+def snapshot(result):
+    """Everything a citation returns, in a comparable form."""
+    return (
+        json.dumps(result.citation(), default=str),
+        [
+            (output, [list(p.terms.items()) for p in tc.per_rewriting],
+             list(tc.polynomial.terms.items()))
+            for output, tc in result.tuples.items()
+        ],
+        list(result.aggregate_polynomial.terms.items()),
+    )
+
+
+def test_e7_type_wide_plus_r_memo(registry, quick, monkeypatch):
+    """Section 3.4 once per tuple shape: the intro citation of the
+    largest type under the focused policy equals the same chain asked
+    for every tuple, with at most one ``best_polynomials`` or
+    ``normal_form`` call per distinct shape cold and none warm.  These
+    are counts of the generator's calls, not timings."""
+    families = 450 if quick else 2000
+    db = GtopdbGenerator(
+        families=families, persons=families // 2, types=10
+    ).build()
+    counts = Counter(row[2] for row in db.relation("Family"))
+    largest = max(sorted(counts), key=counts.__getitem__)
+    text = ("Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), "
+            f'Ty = "{largest}"')
+    policy = focused_policy(registry)
+    chain = [FewestUncoveredOrder(), FewestViewsOrder(),
+             ViewInclusionOrder(registry)]
+    expected = snapshot(CitationEngine(
+        db, registry,
+        policy=dataclasses.replace(policy, order=UnshapedChain(chain)),
+    ).cite(text))
+
+    calls = []
+    for name in ("best_polynomials", "normal_form"):
+        absorb = getattr(generator, name)
+
+        def counted(polynomials, order, _name=name, _absorb=absorb):
+            shaped = polynomials if _name == "best_polynomials" else [
+                polynomials
+            ]
+            calls.append((_name, token_shape(shaped)))
+            return _absorb(polynomials, order)
+
+        monkeypatch.setattr(generator, name, counted)
+    engine = CitationEngine(db, registry, policy=policy)
+    cold = engine.cite(text)
+    assert calls and None not in {shape for __, shape in calls}
+    assert len(set(calls)) == len(calls), "a shape was decided twice"
+    tuples = len(cold.tuples)
+    cold_calls = len(calls)
+    del calls[:]
+    warm = engine.cite(text)
+    assert calls == []
+    assert snapshot(cold) == expected
+    assert snapshot(warm) == expected
+    memo = engine.absorption_memo.counters()
+    assert memo["misses"] == memo["size"] == cold_calls
+    assert memo["hits"] == 4 * tuples - cold_calls

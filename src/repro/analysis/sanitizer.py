@@ -50,6 +50,12 @@ maintained records
     record-cache hit, with the record re-rendered from the live data —
     raises when the served record differs: a row change whose record
     delta missed a token is caught at the first serve of that token.
+replayed absorption
+    :func:`check_absorption_serve` — called by the citation engine on
+    every absorption-memo hit, with the decision recomputed by
+    ``best_polynomials`` or ``normal_form`` — raises when the replayed
+    polynomials differ: a token shape that misses something the order
+    reads is caught at the first tuple it decides wrongly.
 event-loop blocking
     While active, ``time.sleep`` and blocking ``socket`` operations
     raise when executed on a thread with a *running* asyncio event
@@ -454,6 +460,24 @@ def check_record_serve(
             f"{rendered!r}; a row change did not drop the stale record",
         )
     _check_shadow(label, obj, obj.stats_version)
+
+
+def check_absorption_serve(label: str, served: Any, computed: Any) -> None:
+    """Re-validate a replayed Section 3.4 decision against the order.
+
+    ``served`` is what a memo hit replays for one tuple (the polynomials
+    ``+R`` keeps, or a normal form), ``computed`` what the order itself
+    decides for the same input.  Raises when they differ.
+    """
+    if not _active:
+        return
+    if served != computed:
+        raise ConcurrencySanitizerError(
+            "stale-cache",
+            f"{label} replayed {served!r}, but the order keeps "
+            f"{computed!r}; the token shape misses something the order "
+            "reads",
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,10 @@ The :class:`CitationEngine` pipeline:
 3. sum monomials over bindings into a per-rewriting polynomial (Def 3.2);
 4. combine the per-rewriting polynomials with ``+R`` (Def 3.3) — union
    (the formal, plan-independent semantics) or order-based absorption
-   ("best", Section 3.4) according to the policy;
+   ("best", Section 3.4) according to the policy; an order that
+   decides by shape is asked once per tuple shape, and its decision is
+   replayed on later tuples of that shape
+   (:attr:`CitationEngine.absorption_memo`);
 5. aggregate per-tuple citations with ``Agg`` (Def 3.4), injecting the
    neutral-element database citation;
 6. render the symbolic citation into records via the views' citation
@@ -41,7 +44,14 @@ from typing import Any
 from repro.analysis import sanitizer as _sanitizer
 from repro.citation.cache import CachedRewritingEngine
 from repro.citation.combiners import with_neutral
-from repro.citation.order import absorbing_sum, best_polynomials, normal_form
+from repro.citation.order import (
+    MonomialOrder,
+    Shape,
+    absorbing_sum,
+    best_polynomials,
+    normal_form,
+    token_shape,
+)
 from repro.citation.policy import CitationPolicy, focused_policy
 from repro.citation.polynomial import (
     CitationMonomial,
@@ -53,6 +63,7 @@ from repro.citation.tokens import (
     CitationToken,
     ViewCitationToken,
 )
+from repro.cq.canonical import canonical_key
 from repro.cq.evaluation import evaluate_with_bindings
 from repro.cq.executor import IndexedVirtualRelations
 from repro.cq.plan import QueryPlan, QueryPlanner, plan_query
@@ -357,6 +368,22 @@ class CitationEngine:
         #: Views with a record cached at the current epoch (evictions
         #: leave a name in place): only their ``C_V`` needs a delta.
         self._cached_views: set[str] = set()
+        #: Section 3.4 decisions per tuple shape (:meth:`_best`,
+        #: :meth:`_normal_form`): the positions ``+R`` or the normal
+        #: form keeps, keyed by the step and the input's
+        #: :func:`~repro.citation.order.token_shape`.  Untagged: the
+        #: decisions read no data, and the registry never changes a
+        #: view it holds.
+        self.absorption_memo: VersionedLRU[
+            tuple[str, Shape], tuple[int, ...]
+        ] = VersionedLRU(1024, "absorption memo")
+        #: The disjunct positions :meth:`UnionQuery.minimal_positions
+        #: <repro.cq.ucq.UnionQuery.minimal_positions>` keeps, keyed by
+        #: the disjuncts' canonical keys: containment reads neither
+        #: variable names nor data.
+        self.minimization_memo: VersionedLRU[
+            tuple[str, ...], tuple[int, ...]
+        ] = VersionedLRU(1024, "minimization memo")
         db.subscribe(self)
 
     # ------------------------------------------------------------------
@@ -592,12 +619,78 @@ class CitationEngine:
         nonzero = [p for p in polynomials if not p.is_zero]
         if not nonzero:
             return ProvenancePolynomial.zero()
-        if policy.plus_r == "best" and policy.order is not None:
-            nonzero = best_polynomials(nonzero, policy.order)
-        combined = self._plus(nonzero)
-        if policy.order is not None:
-            combined = normal_form(combined, policy.order)
-        return combined
+        order = policy.order
+        if order is None:
+            return self._plus(nonzero)
+        if policy.plus_r == "best":
+            nonzero = self._best(nonzero, order)
+        return self._normal_form(self._plus(nonzero), order)
+
+    @staticmethod
+    def _shape_key(
+        step: str, polynomials: Sequence[CitationPolynomial],
+        order: MonomialOrder,
+    ) -> tuple[str, Shape] | None:
+        """The :attr:`absorption_memo` key of one absorption step, or
+        None when ``order`` does not decide by shape or the input is too
+        large to have one."""
+        if not order.decides_by_shape:
+            return None
+        shape = token_shape(polynomials)
+        return None if shape is None else (step, shape)
+
+    def _best(
+        self, polynomials: list[CitationPolynomial], order: MonomialOrder
+    ) -> list[CitationPolynomial]:
+        """:func:`best_polynomials`, replayed from the positions kept
+        for the first input of the same shape."""
+        key = self._shape_key("+R", polynomials, order)
+        positions = None if key is None else self.absorption_memo.get(key)
+        if positions is None:
+            kept = best_polynomials(polynomials, order)
+            if key is not None:
+                first: dict[CitationPolynomial, int] = {}
+                for index, polynomial in enumerate(polynomials):
+                    first.setdefault(polynomial, index)
+                self.absorption_memo.put(
+                    key, tuple(first[polynomial] for polynomial in kept)
+                )
+            return kept
+        kept = [polynomials[index] for index in positions]
+        if _sanitizer._active:
+            _sanitizer.check_absorption_serve(
+                self.absorption_memo.label, kept,
+                best_polynomials(polynomials, order),
+            )
+        return kept
+
+    def _normal_form(
+        self, polynomial: CitationPolynomial, order: MonomialOrder
+    ) -> CitationPolynomial:
+        """:func:`normal_form`, replayed from the positions kept for the
+        first polynomial of the same shape."""
+        key = self._shape_key("normal form", [polynomial], order)
+        positions = None if key is None else self.absorption_memo.get(key)
+        if positions is None:
+            form = normal_form(polynomial, order)
+            if key is not None:
+                kept = form.terms
+                self.absorption_memo.put(key, tuple(
+                    index
+                    for index, monomial in enumerate(polynomial.monomials())
+                    if monomial in kept
+                ))
+            return form
+        terms = list(polynomial.terms.items())
+        form = polynomial if len(positions) == len(terms) else (
+            ProvenancePolynomial(dict(terms[index] for index in positions))
+        )
+        if _sanitizer._active:
+            _sanitizer.check_absorption_serve(
+                self.absorption_memo.label, form,
+                normal_form(polynomial, order),
+            )
+        return form
 
     def _plus(
         self, polynomials: Sequence[CitationPolynomial]
@@ -745,7 +838,8 @@ class CitationEngine:
         :meth:`cite_sql`, the service and the workload runner all cite
         through it.  A conjunctive query is a union of one rule; a union
         contributes its minimized disjuncts
-        (:meth:`~repro.cq.ucq.UnionQuery.minimized`).  Every disjunct of
+        (:meth:`~repro.cq.ucq.UnionQuery.minimized`, memoized per
+        union shape).  Every disjunct of
         the batch is rewritten and planned, and has its shared plan
         prefixes reserved, together (:meth:`_group_batch`).  Each
         query's result is then Defs 3.1–3.3 per disjunct, ``+`` across
@@ -779,7 +873,7 @@ class CitationEngine:
             for query in queries
         ]
         disjuncts = [
-            query.minimized().disjuncts if isinstance(query, UnionQuery)
+            self._minimal_disjuncts(query) if isinstance(query, UnionQuery)
             else (query,)
             for query in submitted
         ]
@@ -790,6 +884,20 @@ class CitationEngine:
             self._cite_query(query, [next(grouped) for __ in group])
             for query, group in zip(submitted, disjuncts)
         ]
+
+    def _minimal_disjuncts(
+        self, union: UnionQuery
+    ) -> tuple[ConjunctiveQuery, ...]:
+        """The disjuncts :meth:`UnionQuery.minimized
+        <repro.cq.ucq.UnionQuery.minimized>` keeps, replayed from
+        :attr:`minimization_memo` for a union whose disjuncts have the
+        same canonical keys."""
+        key = tuple(canonical_key(disjunct) for disjunct in union.disjuncts)
+        positions = self.minimization_memo.get(key)
+        if positions is None:
+            positions = union.minimal_positions()
+            self.minimization_memo.put(key, positions)
+        return tuple(union.disjuncts[index] for index in positions)
 
     def _group_batch(
         self, disjuncts: Sequence[ConjunctiveQuery]
@@ -859,7 +967,7 @@ class CitationEngine:
                 if output in polynomials
             ])
             if self.policy.order is not None:
-                combined = normal_form(combined, self.policy.order)
+                combined = self._normal_form(combined, self.policy.order)
             # Keep per_rewriting aligned with the concatenated rewriting
             # list: a disjunct that does not produce this tuple
             # contributes zero polynomials for each of its rewritings.

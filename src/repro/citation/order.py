@@ -19,6 +19,11 @@ polynomials via normal forms and to ``+R`` via ``p1 +R p2 = p1`` when
 Absorption is a maximal-elements ("skyline") computation: every order
 answers :meth:`MonomialOrder.maximal`, and the polynomial-level
 functions below go through it.
+
+An order that reads only a token's kind, view or relation name,
+exponent and equality declares :attr:`MonomialOrder.decides_by_shape`;
+:func:`token_shape` is what it reads of a tuple, so a citation engine
+can decide each tuple shape once and replay the decision.
 """
 
 from __future__ import annotations
@@ -33,7 +38,11 @@ from repro.citation.polynomial import (
     base_token_count,
     view_token_count,
 )
-from repro.citation.tokens import CitationToken, ViewCitationToken
+from repro.citation.tokens import (
+    BaseRelationToken,
+    CitationToken,
+    ViewCitationToken,
+)
 from repro.semiring.polynomial import ProvenanceMonomial, ProvenancePolynomial
 from repro.util.lru import VersionedLRU
 from repro.views.inclusion import view_strictly_finer
@@ -59,6 +68,62 @@ def _undominated(
     ]
 
 
+#: Tuples whose polynomials hold more tokens than this have no shape
+#: (:func:`token_shape`), which bounds a memo entry's key: one tuple of
+#: ``Q(Ty) :- Family(F, N, Ty)`` holds one monomial per family.
+MAX_SHAPE_TOKENS = 64
+
+#: One token of a :func:`token_shape`: ``(index, kind, name, exponent)``.
+ShapeToken = tuple[int, str, str, int]
+#: A :func:`token_shape`: per polynomial, its ``(tokens, coefficient)``
+#: terms.
+Shape = tuple[tuple[tuple[tuple[ShapeToken, ...], int], ...], ...]
+
+
+def token_shape(polynomials: Sequence[CitationPolynomial]) -> Shape | None:
+    """All that an order that :attr:`~MonomialOrder.decides_by_shape`
+    reads of ``polynomials``; None past :data:`MAX_SHAPE_TOKENS` tokens.
+
+    Each polynomial becomes its ``(monomial shape, coefficient)`` pairs
+    in canonical term order, and a monomial shape is its tokens in
+    canonical order, each written ``(index, kind, name, exponent)``:
+    the index numbers distinct tokens in first-seen order across the
+    whole list, so the shape records which tokens are equal across
+    polynomials; the kind is ``"view"`` or ``"base"`` and the name is
+    the token's view or relation.
+
+    Two lists of equal shape correspond position by position through a
+    one-to-one map between their tokens that keeps kind, name, exponent
+    and equality, everything such an order reads, so every absorption
+    decision agrees position by position.  Coefficients stay in:
+    :func:`best_polynomials` deduplicates equal polynomials, and ``m``
+    and ``2·m`` are two different polynomials.  A token of any other
+    kind leaves the list without a shape.
+    """
+    indices: dict[CitationToken, int] = {}
+    count = 0
+    shape = []
+    for polynomial in polynomials:
+        terms = []
+        for monomial, coefficient in polynomial.terms.items():
+            powers = monomial.powers
+            count += len(powers)
+            if count > MAX_SHAPE_TOKENS:
+                return None
+            tokens = []
+            for token, exponent in powers.items():
+                index = indices.setdefault(token, len(indices))
+                if isinstance(token, ViewCitationToken):
+                    tokens.append((index, "view", token.view_name, exponent))
+                elif isinstance(token, BaseRelationToken):
+                    tokens.append((index, "base", token.relation, exponent))
+                else:
+                    return None
+            terms.append((tuple(tokens), coefficient))
+        shape.append(tuple(terms))
+    return tuple(shape)
+
+
 class MonomialOrder:
     """A partial (pre-)order over citation monomials.
 
@@ -74,7 +139,26 @@ class MonomialOrder:
     :class:`LexicographicOrder` narrows to its best class before any
     later level is asked.  An override of :meth:`maximal` must return
     exactly what the default returns.
+
+    :attr:`decides_by_shape` declares that the order reads nothing of a
+    token but what :func:`token_shape` keeps: its kind, its view or
+    relation name, its exponent, and which tokens are equal — never a
+    λ-parameter value.  A citation engine then decides absorption once
+    per tuple shape and replays the decision on later tuples of that
+    shape.  The declaration is not inherited: a subclass that does not
+    set it in its own body keeps the default, ``False``, and is asked
+    for every tuple.  Set it only when every decision follows from the
+    shape; an order that reads parameter values must keep the default.
     """
+
+    #: Whether every decision follows from :func:`token_shape` alone
+    #: (see the class docstring).  Set per class, never inherited.
+    decides_by_shape = False
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        if "decides_by_shape" not in cls.__dict__:
+            cls.decides_by_shape = False
 
     def leq(self, m1: CitationMonomial, m2: CitationMonomial) -> bool:
         raise NotImplementedError
@@ -102,6 +186,11 @@ class CountOrder(MonomialOrder):
     ``m1 ≤ m2`` iff ``count(m1) >= count(m2)``.  This is a total
     preorder, so the undominated monomials are exactly the minimum-count
     class.
+
+    A subclass declares :attr:`~MonomialOrder.decides_by_shape` itself
+    when its ``count`` reads no λ-parameter value, as
+    :class:`FewestViewsOrder` and :class:`FewestUncoveredOrder` do;
+    without it, its decisions are never replayed.
     """
 
     def count(self, monomial: CitationMonomial) -> int:
@@ -125,12 +214,16 @@ class CountOrder(MonomialOrder):
 class FewestViewsOrder(CountOrder):
     """Example 3.6: prefer monomials with fewer view multiplicands."""
 
+    decides_by_shape = True
+
     def count(self, monomial: CitationMonomial) -> int:
         return view_token_count(monomial)
 
 
 class FewestUncoveredOrder(CountOrder):
     """Example 3.7: prefer monomials with fewer ``C_R`` atoms."""
+
+    decides_by_shape = True
 
     def count(self, monomial: CitationMonomial) -> int:
         return base_token_count(monomial)
@@ -145,7 +238,13 @@ class ViewInclusionOrder(MonomialOrder):
     normalized (``a · b = a`` if ``b ≤ a``: dominated multiplicands are
     dropped), then compared by Hoare domination: ``m1 ≤ m2`` iff every
     multiplicand of m1's normal form is ≤ some multiplicand of m2's.
+
+    It reads token equality and view names, and the registry's views
+    under those names, which never change (:meth:`ViewRegistry.add`
+    refuses a second view of one name).
     """
+
+    decides_by_shape = True
 
     def __init__(self, registry: ViewRegistry) -> None:
         self._registry = registry
@@ -264,12 +363,17 @@ class LexicographicOrder(MonomialOrder):
 
     ``m1 ≤ m2`` iff at the first order where they are not equivalent,
     ``m1 ≤ m2`` holds (and they are ≤ when equivalent everywhere).
+    It decides by shape when every level does.
     """
 
     def __init__(self, orders: Sequence[MonomialOrder]) -> None:
         if not orders:
             raise ValueError("LexicographicOrder needs at least one order")
         self._orders = tuple(orders)
+
+    @property  # type: ignore[override]
+    def decides_by_shape(self) -> bool:
+        return all(order.decides_by_shape for order in self._orders)
 
     def leq(self, m1: CitationMonomial, m2: CitationMonomial) -> bool:
         for order in self._orders:

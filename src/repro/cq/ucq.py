@@ -189,7 +189,18 @@ class UnionQuery:
         The UCQ analogue of core minimization: a disjunct subsumed by a
         sibling contributes nothing to the union.
         """
-        kept: list[ConjunctiveQuery] = []
+        return UnionQuery(
+            [self.disjuncts[index] for index in self.minimal_positions()]
+        )
+
+    def minimal_positions(self) -> tuple[int, ...]:
+        """The positions of the disjuncts :meth:`minimized` keeps.
+
+        Containment reads neither variable names nor data, so unions
+        whose disjuncts are α-equivalent position by position keep the
+        same positions.
+        """
+        kept: list[int] = []
         for index, disjunct in enumerate(self.disjuncts):
             subsumed = False
             for other_index, other in enumerate(self.disjuncts):
@@ -205,8 +216,8 @@ class UnionQuery:
                     subsumed = True
                     break
             if not subsumed:
-                kept.append(disjunct)
-        return UnionQuery(kept)
+                kept.append(index)
+        return tuple(kept)
 
 
 #: One rule of a stack: a maximal run of quoted constants and characters

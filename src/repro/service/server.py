@@ -39,6 +39,7 @@ import logging
 import signal
 import threading
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -372,29 +373,47 @@ class CitationService:
             return parse_sql(text, self.engine.db.schema)
         return parse_datalog(text)
 
-    async def _analyze_on_lane(self, query: Any) -> list[Any]:
-        """QA diagnostics, serialized with writes on the engine lane."""
+    async def _analyze_on_lane(
+        self, queries: Sequence[Any]
+    ) -> list[list[Any]]:
+        """Each query's QA diagnostics, serialized with writes on the
+        engine lane: the queries the analysis cache misses are analysed
+        together, in one lane job."""
         engine = self.engine
-        disjuncts = (
-            query.disjuncts if isinstance(query, UnionQuery) else (query,)
-        )
-        key = repr(query)
-        version = engine.db.versions(dict.fromkeys(
-            name for disjunct in disjuncts
-            for name in disjunct.relation_names()
-        ))
-        cached = self.analysis_cache.get(key, engine.db, version)
-        if cached is not None:
-            return cached
+        tags = []
+        found: dict[int, list[Any]] = {}
+        for index, query in enumerate(queries):
+            disjuncts = (
+                query.disjuncts if isinstance(query, UnionQuery)
+                else (query,)
+            )
+            key = repr(query)
+            version = engine.db.versions(dict.fromkeys(
+                name for disjunct in disjuncts
+                for name in disjunct.relation_names()
+            ))
+            tags.append((key, version))
+            cached = self.analysis_cache.get(key, engine.db, version)
+            if cached is not None:
+                found[index] = cached
+        missing = [index for index in range(len(queries))
+                   if index not in found]
+        if missing:
 
-        def job() -> list[Any]:
-            if isinstance(query, UnionQuery):
-                return analyze_union(query, engine.db)
-            return analyze_query(query, engine.db)
+            def job() -> list[list[Any]]:
+                return [
+                    analyze_union(queries[index], engine.db)
+                    if isinstance(queries[index], UnionQuery)
+                    else analyze_query(queries[index], engine.db)
+                    for index in missing
+                ]
 
-        diagnostics = await self._bounded(self.lane.submit(job))
-        self.analysis_cache.put(key, diagnostics, engine.db, version)
-        return diagnostics
+            analysed = await self._bounded(self.lane.submit(job))
+            for index, diagnostics in zip(missing, analysed):
+                key, version = tags[index]
+                self.analysis_cache.put(key, diagnostics, engine.db, version)
+                found[index] = diagnostics
+        return [found[index] for index in range(len(queries))]
 
     async def _bounded(self, future: "asyncio.Future[Any]") -> Any:
         return await wait_bounded(future, self.config.request_timeout_s)
@@ -418,7 +437,7 @@ class CitationService:
         body = self._body_object(request)
         query = self._parse(self._query_text(body),
                             sql=bool(body.get("sql")))
-        diagnostics = await self._analyze_on_lane(query)
+        [diagnostics] = await self._analyze_on_lane([query])
         self._refuse_if_empty(diagnostics)
         result: CitationResult = await self._bounded(
             self.lane.submit_cite(query)
@@ -445,15 +464,17 @@ class CitationService:
                          "of Datalog strings",
             })
         queries = [self._parse(text, sql=False) for text in texts]
-        empty: list[dict[str, Any]] = []
-        for index, query in enumerate(queries):
-            diagnostics = await self._analyze_on_lane(query)
-            if has_errors(diagnostics):
-                empty.append({
-                    "index": index,
-                    "query": texts[index],
-                    "diagnostics": _diagnostic_json(diagnostics),
-                })
+        empty = [
+            {
+                "index": index,
+                "query": texts[index],
+                "diagnostics": _diagnostic_json(diagnostics),
+            }
+            for index, diagnostics in enumerate(
+                await self._analyze_on_lane(queries)
+            )
+            if has_errors(diagnostics)
+        ]
         if empty:
             raise _HttpError(422, {
                 "error": f"{len(empty)} quer"
@@ -476,7 +497,7 @@ class CitationService:
         body = self._body_object(request)
         query = self._parse(self._query_text(body),
                             sql=bool(body.get("sql")))
-        diagnostics = await self._analyze_on_lane(query)
+        [diagnostics] = await self._analyze_on_lane([query])
         engine = self.engine
 
         def job() -> str:
@@ -508,7 +529,7 @@ class CitationService:
         body = self._body_object(request)
         query = self._parse(self._query_text(body),
                             sql=bool(body.get("sql")))
-        diagnostics = await self._analyze_on_lane(query)
+        [diagnostics] = await self._analyze_on_lane([query])
         provably_empty = has_errors(diagnostics)
         payload = {
             "diagnostics": _diagnostic_json(diagnostics),
@@ -605,6 +626,7 @@ class CitationService:
                 "rewriting_cache": engine.rewriting_engine.counters(),
                 "subplan_memo": engine.subplan_memo.counters(),
                 "record_cache": engine.record_cache.counters(),
+                "absorption_memo": engine.absorption_memo.counters(),
                 "analysis_cache": self.analysis_cache.counters(),
             },
         }

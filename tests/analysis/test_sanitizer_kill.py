@@ -16,13 +16,17 @@ from repro.analysis.sanitizer import (
     ConcurrencySanitizerError,
     set_sanitize,
 )
+from repro.citation import generator
 from repro.citation.generator import CitationEngine
+from repro.citation.order import token_shape
+from repro.citation.tokens import ViewCitationToken
 from repro.cq import evaluation
 from repro.cq.parser import parse_query
 from repro.cq.subplan import SubplanMemo
 from repro.gtopdb.sample import paper_database
 from repro.gtopdb.views import paper_views
 from repro.relational.database import Database
+from repro.semiring.polynomial import ProvenanceMonomial, ProvenancePolynomial
 from repro.service.batcher import EngineLane
 from repro.views.registry import ViewRegistry
 
@@ -181,6 +185,62 @@ class TestStaleRecordServe:
             "the sanitizer FAILED to catch a maintained record served "
             "after the row change that made it stale"
         )
+
+
+class TestReplayedAbsorption:
+    """Kill: an absorption-memo shape that misses token equality.
+
+    The gpcr query has three rewritings.  Its per-rewriting polynomials
+    are replaced by two tuples whose shapes differ only in which tokens
+    are equal: tuple a gets ``C[V1(11)]`` from two rewritings (equal
+    polynomials, kept once), tuple b ``C[V1(11)]`` and ``C[V1(13)]``
+    (incomparable, both kept).
+    """
+
+    @pytest.fixture
+    def crafted(self, engine, monkeypatch):
+        def single(family):
+            return ProvenancePolynomial(
+                {ProvenanceMonomial([ViewCitationToken("V1", (family,))]): 1}
+            )
+
+        per_rewriting = iter([
+            {("a",): single("11"), ("b",): single("11")},
+            {("a",): single("11"), ("b",): single("13")},
+            {},
+        ])
+        monkeypatch.setattr(
+            CitationEngine, "_rewriting_polynomials",
+            lambda *args: next(per_rewriting),
+        )
+
+        def without_equality(polynomials):
+            shape = token_shape(polynomials)
+            return tuple(
+                tuple(
+                    (tuple((0, *token[1:]) for token in tokens), coefficient)
+                    for tokens, coefficient in polynomial
+                )
+                for polynomial in shape
+            )
+
+        # BUG: every token gets index 0, so equal and unequal tokens
+        # share a shape.
+        monkeypatch.setattr(generator, "token_shape", without_equality)
+        return engine
+
+    def test_shape_without_equality_is_caught(self, active, crafted):
+        with pytest.raises(ConcurrencySanitizerError) as err:
+            crafted.cite(QUERY)
+        assert err.value.check == "stale-cache", (
+            "the sanitizer FAILED to catch a memoized +R decision "
+            "replayed on a tuple the order decides differently"
+        )
+
+    def test_same_shape_passes_without_sanitizer(self, inactive, crafted):
+        # Control: unchecked, tuple b silently loses C[V1(13)].
+        result = crafted.cite(QUERY)
+        assert repr(result.tuples[("b",)].polynomial) == "C[V1('11')]"
 
 
 class TestEventLoopBlocking:

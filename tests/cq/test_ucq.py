@@ -96,6 +96,13 @@ class TestMinimization:
         )
         assert len(union.minimized()) == 2
 
+    def test_minimal_positions(self):
+        union = parse_union_query(
+            "Q(A) :- R(A, B), S(A, C)\nQ(A) :- S(A, B)\nQ(X) :- S(X, Y)"
+        )
+        assert union.minimal_positions() == (1,)
+        assert union.minimized().disjuncts == (union.disjuncts[1],)
+
 
 class TestUnionCitations:
     UNION = ('Q(N) :- Family(F, N, Ty), Ty = "gpcr", FamilyIntro(F, Tx)\n'
@@ -181,6 +188,49 @@ class TestUnionCitations:
         assert len(union.minimized().disjuncts) == 3
         engine.cite_union(union)
         assert len(calls) == 1
+
+    def test_minimization_is_memoized_per_union_shape(
+        self, db, registry, monkeypatch
+    ):
+        # Containment reads neither variable names nor data: a re-parsed
+        # and an α-renamed copy of a union replay the disjunct positions
+        # minimization kept for the first.
+        from repro.citation.generator import CitationEngine
+        from repro.cq import ucq
+
+        text = ('Q(N) :- Family(F, N, Ty), Ty = "gpcr", FamilyIntro(F, Tx)\n'
+                'Q(N) :- Family(F, N, Ty)\n'
+                'Q(N) :- Family(F, N, Ty), FC(F, C), C = "p1"')
+        renamed = (
+            'Q(M) :- Family(G, M, T), T = "gpcr", FamilyIntro(G, X)\n'
+            'Q(M) :- Family(G, M, T)\n'
+            'Q(M) :- Family(G, M, T), FC(G, P), P = "p1"'
+        )
+        calls = []
+        is_contained_in = ucq.is_contained_in
+
+        def counted(*args):
+            calls.append(args)
+            return is_contained_in(*args)
+
+        monkeypatch.setattr(ucq, "is_contained_in", counted)
+        engine = CitationEngine(db, registry)
+        first = engine.cite(text)
+        assert calls
+        del calls[:]
+        again = engine.cite(parse_union_query(text))
+        alpha = engine.cite(renamed)
+        assert calls == []
+        assert again.citation() == first.citation()
+        assert alpha.citation()["citations"] == first.citation()["citations"]
+        assert [
+            (output, tc.per_rewriting, tc.polynomial)
+            for output, tc in alpha.tuples.items()
+        ] == [
+            (output, tc.per_rewriting, tc.polynomial)
+            for output, tc in first.tuples.items()
+        ]
+        assert engine.minimization_memo.counters()["hits"] == 2
 
 
 class TestPlannedEvaluation:

@@ -118,6 +118,38 @@ class TestCiteBatch:
         reply = client.post("/cite-batch", {"queries": "just one"})
         assert reply.status == 400
 
+    @pytest.fixture
+    def trips(self, service, monkeypatch):
+        """The lane jobs (``submit`` and ``submit_cite`` calls) made."""
+        lane = service.service.lane
+        made = []
+        for name in ("submit", "submit_cite"):
+            submit = getattr(lane, name)
+
+            def counted(*args, _submit=submit):
+                made.append(args)
+                return _submit(*args)
+
+            monkeypatch.setattr(lane, name, counted)
+        return made
+
+    def test_cold_batch_makes_two_lane_trips(self, client, trips):
+        reply = client.cite_batch([GPCR, VGIC, JOIN])
+        assert reply.status == 200
+        # One job analyses the three uncached queries, one cites them.
+        assert len(trips) == 2
+        # Warm, the analyses are cached: only the cite job is left.
+        assert client.cite_batch([GPCR, VGIC, JOIN]).status == 200
+        assert len(trips) == 3
+
+    def test_empty_member_is_refused_after_one_trip(self, client, trips):
+        reply = client.cite_batch([GPCR, EMPTY, VGIC])
+        assert reply.status == 422
+        (bad,) = reply.data["queries"]
+        assert (bad["index"], bad["query"]) == (1, EMPTY)
+        assert bad["diagnostics"]
+        assert len(trips) == 1
+
 
 class TestPlanAndAnalyze:
     def test_plan_returns_explain(self, client):
@@ -307,7 +339,7 @@ class TestStatsAndHealth:
         assert set(stats) == {"service", "admission", "engine"}
         engine = stats["engine"]
         for cache in ("plan_cache", "rewriting_cache", "subplan_memo",
-                      "record_cache", "analysis_cache"):
+                      "record_cache", "absorption_memo", "analysis_cache"):
             assert {"hits", "misses", "evictions", "size"} <= set(
                 engine[cache]
             )
