@@ -99,7 +99,7 @@ def main() -> None:
 
     print("\n== EXPLAIN with the warmed memo")
     print(explain_with_memo(plans[0], engine.subplan_memo, db,
-                            engine._materialized()))
+                            engine.materialized_views()))
 
     print("\n== Second batch (warm memo: every shared prefix seeds)")
     print(run_workload(engine, queries).describe())

@@ -36,11 +36,10 @@ from dataclasses import dataclass
 from repro.cq.containment import is_contained_in
 from repro.cq.plan import (
     _RANGE_OPS,
-    VirtualRelations,
     _EqualityClosure,
     _IntervalClosure,
-    _statistics_for_atom,
     plan_query,
+    relation_for,
 )
 from repro.cq.query import ConjunctiveQuery
 from repro.cq.terms import Constant, Variable
@@ -182,7 +181,7 @@ def _shape_diagnostics(query: ConjunctiveQuery) -> list[Diagnostic]:
 def _statistics_diagnostics(
     query: ConjunctiveQuery,
     db: Database,
-    virtual: VirtualRelations | None,
+    virtual: Database | None,
 ) -> list[Diagnostic]:
     """QA105: comparisons that statistics show to be mixed-type risks.
 
@@ -204,9 +203,9 @@ def _statistics_diagnostics(
     def stats_for(atom_index: int):
         if atom_index not in stats_cache:
             try:
-                stats_cache[atom_index] = _statistics_for_atom(
+                stats_cache[atom_index] = relation_for(
                     query.atoms[atom_index], db, virtual
-                )[0]
+                )[0].stats
             except (QueryError, ReproError):
                 stats_cache[atom_index] = None
         return stats_cache[atom_index]
@@ -262,7 +261,7 @@ def _statistics_diagnostics(
 def _plan_diagnostics(
     query: ConjunctiveQuery,
     db: Database,
-    virtual: VirtualRelations | None,
+    virtual: Database | None,
 ) -> list[Diagnostic]:
     """QA101: join steps that probe nothing (cartesian products)."""
     findings: list[Diagnostic] = []
@@ -290,7 +289,7 @@ def _plan_diagnostics(
 def analyze_query(
     query: ConjunctiveQuery,
     db: Database | None = None,
-    virtual: VirtualRelations | None = None,
+    virtual: Database | None = None,
 ) -> list[Diagnostic]:
     """Every finding for one conjunctive query, errors first.
 
@@ -311,7 +310,7 @@ def analyze_query(
 def analyze_union(
     union: UnionQuery,
     db: Database | None = None,
-    virtual: VirtualRelations | None = None,
+    virtual: Database | None = None,
 ) -> list[Diagnostic]:
     """Every finding for a union: per-disjunct plus union-level checks.
 

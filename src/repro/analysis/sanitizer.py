@@ -3,8 +3,8 @@ instead of assuming it.
 
 The engine's concurrency correctness rests on conventions no type
 checker sees: *all* engine access is serialized through the service's
-engine lane; version-keyed caches re-validate ``stats_version`` and
-content fingerprints before serving; and nothing blocks the service
+engine lane; version-keyed caches re-validate their version tags and
+tokens before serving; and nothing blocks the service
 event loop.  This module checks those conventions at runtime — the same
 opt-in sanitizer posture as the plan verifier
 (:mod:`repro.analysis.verifier`), extended from plans to threads and
@@ -39,8 +39,8 @@ version-keyed caches
     :meth:`repro.util.lru.VersionedLRU.get` — re-validates,
     independently of the cache's own check, that a served entry's
     version tag (the ``stats_version``, or the per-relation versions
-    plans and QA analyses are tagged with) and content fingerprint
-    match the live database — and that the live
+    plans, sub-plan memo entries and QA analyses are tagged with) and
+    token match the live database — and that the live
     ``stats_version`` agrees with the sanitizer's own shadow count of
     effective mutations (:func:`note_effective_mutations`), so a
     mutation path that forgets to bump the version is caught at the
@@ -405,7 +405,9 @@ def check_cache_serve(
     entry being served — the version either ``stats_version`` or a
     tuple of ``(relation, version)`` pairs
     (:meth:`~repro.relational.database.Database.versions`) —
-    ``current_token`` the fingerprint computed against the live state.
+    ``current_token`` the token computed against the live state (for
+    plans and memo entries over views, the view store with the views'
+    versions).
     Raises when the entry is stale (the cache's own validation was
     bypassed or patched out) or when the live version disagrees with
     the mutation shadow count.

@@ -3,9 +3,9 @@
 The :class:`CitationEngine` pipeline:
 
 1. enumerate the rewritings of the query over the registry (Section 2.2);
-2. evaluate each rewriting (views materialized as virtual relations) and
-   build, per output tuple and per binding, the ``·``-monomial of view
-   citation tokens and ``C_R`` tokens (Def 3.1);
+2. evaluate each rewriting (views materialized into the engine's view
+   store) and build, per output tuple and per binding, the
+   ``·``-monomial of view citation tokens and ``C_R`` tokens (Def 3.1);
 3. sum monomials over bindings into a per-rewriting polynomial (Def 3.2);
 4. combine the per-rewriting polynomials with ``+R`` (Def 3.3) — union
    (the formal, plan-independent semantics) or order-based absorption
@@ -37,8 +37,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import groupby
-from operator import itemgetter
 from typing import Any
 
 from repro.analysis import sanitizer as _sanitizer
@@ -65,7 +63,6 @@ from repro.citation.tokens import (
 )
 from repro.cq.canonical import canonical_key
 from repro.cq.evaluation import evaluate_with_bindings
-from repro.cq.executor import IndexedVirtualRelations
 from repro.cq.plan import QueryPlan, QueryPlanner, plan_query
 from repro.cq.query import ConjunctiveQuery
 from repro.cq.sql_parser import parse_sql
@@ -78,7 +75,9 @@ from repro.relational.database import (
     DELETING,
     INSERTED,
     Database,
+    view_store,
 )
+from repro.relational.tuples import Row
 from repro.rewriting.engine import RewritingEngine
 from repro.rewriting.rewriting import Rewriting
 from repro.semiring.polynomial import ProvenanceMonomial, ProvenancePolynomial
@@ -92,6 +91,9 @@ Record = dict[str, Any]
 #: writes costs less as one full invalidation, rebuilt once by the next
 #: read (see :meth:`CitationEngine.rows_changed`).
 MAX_MAINTAINED_ROWS = 64
+#: The zero polynomial: a rewriting that does not derive a tuple
+#: contributes it.  Polynomials are immutable, so one instance serves.
+_ZERO = ProvenancePolynomial.zero()
 #: Per output tuple, in first-output order: the per-rewriting
 #: polynomials (aligned with the rewritings) and their ``+R``
 #: combination (Defs 3.2–3.3).
@@ -305,12 +307,14 @@ class CitationEngine:
     :func:`~repro.analysis.sanitizer.set_sanitize` /
     ``REPRO_SANITIZE``), not engine parameters.
 
-    Plans for queries with range comparisons run unchanged through this
-    engine: the shared :class:`~repro.cq.plan.QueryPlanner` pushes them
-    into ordered access paths, and the per-engine
-    :class:`~repro.cq.executor.IndexedVirtualRelations` materialization
-    caches the sorted indexes (and the content fingerprints the plan
-    cache keys on) across every rewriting of every query.
+    The engine owns one view store
+    (:func:`~repro.relational.database.view_store`,
+    :meth:`materialized_views`): each view's extension is a
+    :class:`~repro.relational.database.RelationInstance`, probed and
+    cache-tagged like a base relation, so its indexes and statistics
+    serve every rewriting of every query and follow each row change.
+    Within the engine's life a view's version names one extension:
+    re-materializing a view moves its version past every version it had.
     """
 
     def __init__(
@@ -344,16 +348,19 @@ class CitationEngine:
         #: Cross-query sub-plan memo: batches evaluate each shared join
         #: prefix once (:mod:`repro.cq.subplan`).
         self.subplan_memo = SubplanMemo()
-        self._virtual: IndexedVirtualRelations | None = None
+        #: The materialized views, one relation per view, arity from its
+        #: head (:meth:`materialized_views`).  Nothing subscribes to it.
+        self._views = view_store({
+            view.name: len(view.view.head) for view in registry
+        })
+        #: Whether :attr:`_views` holds the current extensions, with the
+        #: deferred :attr:`_joins_touched` applied by the next read.
+        self._loaded = False
         #: Plan shape of each materialized non-scan view's extension
         #: (see :meth:`_apply_view_changes`).
         self._view_shapes: dict[str, tuple] = {}
-        #: View maintenance deferred to the next read: each scan view's
-        #: ``(inserted, delta)`` changes in order, and for each non-scan
-        #: view a write reached, whether its delta was non-empty.
-        self._scan_changes: dict[
-            str, list[tuple[bool, list[tuple[Any, ...]]]]
-        ] = {}
+        #: For each non-scan view a write reached since the last read,
+        #: whether its delta was non-empty.
         self._joins_touched: dict[str, bool] = {}
         #: Row changes since the last read (see :data:`MAX_MAINTAINED_ROWS`).
         self._unread_rows = 0
@@ -389,7 +396,7 @@ class CitationEngine:
     # ------------------------------------------------------------------
 
     def refresh(self) -> None:
-        """Drop materialized views and every data-derived cache."""
+        """Re-materialize the views and drop every data-derived cache."""
         self.invalidate_data()
         self.record_cache.clear()
         self.planner.clear()
@@ -398,11 +405,12 @@ class CitationEngine:
     def invalidate_data(self) -> None:
         """Full invalidation of the data-derived state.
 
-        Drops the materialized views and, through the engine epoch,
-        every rendered record, and re-derives the ``MetaData`` neutral
-        element.  Plans and the sub-plan memo stay: their tags (the
-        versions of the base relations they read, virtual-content
-        fingerprints, ``stats_version``) already refuse stale entries.
+        Marks the materialized views for re-materialization by the next
+        read, drops every rendered record through the engine epoch, and
+        re-derives the ``MetaData`` neutral element.  Plans and the
+        sub-plan memo stay: their tags (the versions of the base
+        relations and views they read) already refuse stale entries,
+        and a re-materialized view moves its version past them.
 
         Writes through the database no longer need this call: the
         engine subscribes to its database and maintains its views and
@@ -410,9 +418,8 @@ class CitationEngine:
         callers that want a re-materializing engine, such as the
         benchmark's reply oracle.
         """
-        self._virtual = None
+        self._loaded = False
         self._view_shapes.clear()
-        self._scan_changes.clear()
         self._joins_touched.clear()
         self._epoch += 1
         self._cached_views.clear()
@@ -433,8 +440,9 @@ class CitationEngine:
         - each view whose ``C_V`` reads ``relation`` drops the records
           of the λ-valuations its pinned ``C_V`` yields;
         - each view whose body reads ``relation`` gets its delta from
-          :meth:`ViewRegistry.materialize` with the row pinned.  The
-          deltas are applied once, by the next read
+          :meth:`ViewRegistry.materialize` with the row pinned.  A scan
+          view inserts or deletes its delta tuple in its instance at
+          once; other views are re-materialized once, by the next read
           (:meth:`_apply_view_changes`), however many rows changed.
 
         Work is only done for state that exists: no view delta without
@@ -452,7 +460,7 @@ class CitationEngine:
         if phase != DELETED:
             self._unread_rows += 1
             if self._unread_rows > MAX_MAINTAINED_ROWS and (
-                self._virtual is not None or self._cached_views
+                self._loaded or self._cached_views
             ):
                 self.invalidate_data()
             self._drop_stale_records(relation, values)
@@ -484,7 +492,7 @@ class CitationEngine:
     def _queue_view_deltas(
         self, relation: str, values: tuple[Any, ...], inserted: bool
     ) -> None:
-        if self._virtual is None:
+        if not self._loaded:
             return
         # A non-scan view with a non-empty delta is re-materialized by
         # the next read whatever else changes, so it needs no more.
@@ -501,33 +509,24 @@ class CitationEngine:
         for name, delta in deltas.items():
             if not self.registry.get(name).is_scan:
                 self._joins_touched[name] = bool(delta)
-            elif delta:
-                self._scan_changes.setdefault(name, []).append(
-                    (inserted, delta)
-                )
-
-    def _apply_view_changes(self, virtual: IndexedVirtualRelations) -> None:
-        """Apply the view maintenance queued since the last read.
-
-        A scan view (:attr:`~repro.views.citation_view.CitationView
-        .is_scan`) lists one tuple per row in insertion order, so its
-        inserts append their deltas and its deletes remove theirs, run
-        by run — the list a fresh materialization builds.  A non-scan
-        view a write reached is re-materialized alone when one of its
-        deltas was non-empty, or when the writes moved its extension's
-        plan shape (a new join order reorders its tuples).
-        """
-        scan_changes, self._scan_changes = self._scan_changes, {}
-        for name, changes in scan_changes.items():
-            rows = virtual[name]
-            for inserted, run in groupby(changes, key=itemgetter(0)):
-                tuples = [row for __, delta in run for row in delta]
+                continue
+            # A scan view lists one tuple per row in insertion order:
+            # the insert appends its tuple, the delete removes it.
+            instance = self._views.relation(name)
+            for view_tuple in delta:
                 if inserted:
-                    rows.extend(tuples)
+                    instance.insert(view_tuple)
                 else:
-                    gone = set(tuples)
-                    rows = [row for row in rows if row not in gone]
-            virtual.replace(name, rows)
+                    instance.delete(Row(name, view_tuple))
+
+    def _apply_view_changes(self) -> None:
+        """Re-materialize the non-scan views the writes since the last
+        read changed.
+
+        A non-scan view a write reached is re-materialized alone when
+        one of its deltas was non-empty, or when the writes moved its
+        extension's plan shape (a new join order reorders its tuples).
+        """
         touched, self._joins_touched = self._joins_touched, {}
         for name, grew in touched.items():
             view = self.registry.get(name)
@@ -535,33 +534,42 @@ class CitationEngine:
             if not grew and shape == self._view_shapes.get(name):
                 continue
             self._view_shapes[name] = shape
-            virtual.replace(name, self.registry.materialize(
-                self.db, [name], planner=self.planner
-            )[name])
+            self._rematerialize([name])
 
-    def materialized_views(self) -> IndexedVirtualRelations:
-        """The (lazily built) indexed materialization of the registry.
+    def _rematerialize(self, names: Sequence[str]) -> None:
+        """Reload the named views from a fresh materialization, on the
+        bulk path; clearing first moves each version past every version
+        the view had."""
+        extensions = self.registry.materialize(
+            self.db, names, planner=self.planner
+        )
+        for name, rows in extensions.items():
+            instance = self._views.relation(name)
+            instance.clear()
+            instance.insert_many(rows)
 
-        Public accessor for callers that plan against the same virtual
-        relations this engine evaluates with (the service's ``/plan``
-        endpoint shares plan-cache entries with ``/cite`` through it).
+    def materialized_views(self) -> Database:
+        """The view store, holding the current extension of every view.
+
+        Public accessor for callers that plan against the same views
+        this engine evaluates with (the service's ``/plan`` endpoint
+        shares plan-cache entries with ``/cite`` through it).
         """
         return self._materialized()
 
-    def _materialized(self) -> IndexedVirtualRelations:
+    def _materialized(self) -> Database:
         self._unread_rows = 0
-        if self._virtual is None:
-            self._virtual = IndexedVirtualRelations(
-                self.registry.materialize(self.db, planner=self.planner)
-            )
+        if not self._loaded:
+            self._rematerialize(self.registry.names)
             self._view_shapes = {
                 view.name: plan_query(view.extension, self.db).shape
                 for view in self.registry
                 if not view.is_scan
             }
-        elif self._scan_changes or self._joins_touched:
-            self._apply_view_changes(self._virtual)
-        return self._virtual
+            self._loaded = True
+        elif self._joins_touched:
+            self._apply_view_changes()
+        return self._views
 
     # ------------------------------------------------------------------
     # the symbolic pipeline
@@ -618,7 +626,7 @@ class CitationEngine:
         policy = self.policy
         nonzero = [p for p in polynomials if not p.is_zero]
         if not nonzero:
-            return ProvenancePolynomial.zero()
+            return _ZERO
         order = policy.order
         if order is None:
             return self._plus(nonzero)
@@ -698,7 +706,7 @@ class CitationEngine:
         """The policy's ``+``: set union when idempotent, else counting."""
         if self.policy.idempotent_plus:
             return idempotent_sum(polynomials)
-        combined = ProvenancePolynomial.zero()
+        combined = _ZERO
         for polynomial in polynomials:
             combined = combined.add(polynomial)
         return combined
@@ -725,7 +733,7 @@ class CitationEngine:
         result: TuplePolynomials = {}
         for output in outputs:
             aligned = tuple(
-                polynomials.get(output, ProvenancePolynomial.zero())
+                polynomials.get(output, _ZERO)
                 for polynomials in per_rewriting
             )
             result[output] = (aligned, self._combine_rewritings(list(aligned)))
@@ -852,8 +860,8 @@ class CitationEngine:
         - rewriting enumeration is memoized per α-equivalence class
           (:attr:`rewriting_engine`, so a follow-up batch starts warm);
         - query plans are shared through :attr:`planner`;
-        - views are materialized once up front, and their hash indexes
-          accumulate across the batch;
+        - views are materialized once, into the engine's view store,
+          whose indexes serve every later query;
         - a join prefix shared by two or more plans of the batch is
           evaluated once through the :attr:`subplan_memo`.
 
@@ -977,7 +985,7 @@ class CitationEngine:
                 for polynomial in (
                     polynomials[output][0]
                     if output in polynomials
-                    else (ProvenancePolynomial.zero(),) * len(rewritings)
+                    else (_ZERO,) * len(rewritings)
                 )
             )
             tuples[output] = (per_rewriting, combined)

@@ -30,7 +30,7 @@ from repro.cq.plan import (
     plan_query,
     prefix_keys,
 )
-from repro.cq.executor import IndexedVirtualRelations, execute_plan
+from repro.cq.executor import execute_plan
 from repro.cq.subplan import (
     SubplanMemo,
     execute_plan_shared,
@@ -73,7 +73,6 @@ __all__ = [
     "SubplanMemo",
     "execute_plan_shared",
     "explain_with_memo",
-    "IndexedVirtualRelations",
     "execute_plan",
     "evaluate_query",
     "enumerate_bindings",

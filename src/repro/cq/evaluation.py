@@ -29,28 +29,24 @@ results, and the planner benchmark uses it as the baseline.
 from __future__ import annotations
 
 import contextlib
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterator, Sequence
 from typing import Any
 
 from repro.analysis import sanitizer as _sanitizer
 from repro.cq.atoms import ComparisonAtom, RelationalAtom
-from repro.cq.executor import Binding, IndexedVirtualRelations, execute_plan
-from repro.cq.plan import QueryPlan, QueryPlanner, plan_query
+from repro.cq.executor import Binding, execute_plan
+from repro.cq.plan import QueryPlan, QueryPlanner, plan_query, relation_for
 from repro.cq.query import ConjunctiveQuery
 from repro.cq.subplan import SubplanMemo, execute_plan_shared
 from repro.cq.terms import Constant, Variable
 from repro.errors import QueryError
 from repro.relational.database import Database
 
-#: Virtual relations: name -> list of value tuples (used to evaluate
-#: rewritings whose atoms reference views).
-VirtualRelations = Mapping[str, Sequence[tuple[Any, ...]]]
-
 
 def enumerate_bindings(
     query: ConjunctiveQuery,
     db: Database,
-    virtual: VirtualRelations | None = None,
+    virtual: Database | None = None,
     planner: QueryPlanner | None = None,
     *,
     plan: QueryPlan | None = None,
@@ -71,13 +67,13 @@ def enumerate_bindings(
     db:
         The database instance to evaluate against.
     virtual:
-        Extra virtual relations (materialized view instances) visible to
-        the query body.  Plain mappings are re-wrapped (and re-indexed,
-        re-fingerprinted) on every call; callers replaying queries over
-        the same materialization should pass one long-lived
-        :class:`~repro.cq.executor.IndexedVirtualRelations` instead, the
-        way :class:`~repro.citation.generator.CitationEngine` does, so
-        indexes and plan-cache content hashes are computed once.
+        A view store (:func:`~repro.relational.database.view_store`)
+        whose materialized views the query body may read.  Its views are
+        relation instances like the base relations: indexes built for one
+        query serve the next, and plans over a view are cached until the
+        view's version moves.  A
+        :class:`~repro.citation.generator.CitationEngine` passes its own
+        store (:meth:`~repro.citation.generator.CitationEngine.materialized_views`).
     planner:
         When given, its plan cache is consulted (and filled); otherwise
         the query is planned from scratch — still cheap, but workloads
@@ -94,16 +90,15 @@ def enumerate_bindings(
     ------
     dict mapping every body :class:`~repro.cq.terms.Variable` to a value.
     """
-    indexed = IndexedVirtualRelations.wrap(virtual)
     if plan is None:
         if planner is not None:
-            plan = planner.plan(query, indexed)
+            plan = planner.plan(query, virtual)
         else:
-            plan = plan_query(query, db, indexed)
+            plan = plan_query(query, db, virtual)
     if memo is not None:
-        yield from execute_plan_shared(plan, db, indexed, memo)
+        yield from execute_plan_shared(plan, db, virtual, memo)
     else:
-        yield from execute_plan(plan, db, indexed)
+        yield from execute_plan(plan, db, virtual)
 
 
 def head_tuple(query: ConjunctiveQuery, binding: Binding) -> tuple[Any, ...]:
@@ -121,7 +116,7 @@ def evaluate_query(
     query: ConjunctiveQuery,
     db: Database,
     params: Sequence[Any] | None = None,
-    virtual: VirtualRelations | None = None,
+    virtual: Database | None = None,
     planner: QueryPlanner | None = None,
 ) -> list[tuple[Any, ...]]:
     """Evaluate a query under set semantics (the paper's Def 2.1).
@@ -142,7 +137,8 @@ def evaluate_query(
         λ-parameter values (the paper's ``V(Y)(a1..an)`` application,
         Def 2.1).
     virtual:
-        Extra virtual relations visible to the query body.
+        A view store whose materialized views the query body may read
+        (see :func:`enumerate_bindings`).
     planner:
         Optional shared plan cache.
 
@@ -162,7 +158,7 @@ def evaluate_with_bindings(
     query: ConjunctiveQuery,
     db: Database,
     params: Sequence[Any] | None = None,
-    virtual: VirtualRelations | None = None,
+    virtual: Database | None = None,
     planner: QueryPlanner | None = None,
     *,
     plan: QueryPlan | None = None,
@@ -212,14 +208,11 @@ def evaluate_with_bindings(
 def _atom_rows(
     atom: RelationalAtom,
     db: Database,
-    virtual: IndexedVirtualRelations | None,
+    virtual: Database | None,
     bound: Binding,
-) -> Iterator[tuple[Any, ...]]:
-    """Rows matching ``atom`` given already-bound variables.
-
-    Both database and virtual relations use hash indexes on the bound
-    positions; arity is validated once per relation, not per row.
-    """
+) -> Sequence[tuple[Any, ...]]:
+    """The values of the rows matching ``atom`` given already-bound
+    variables, from a hash index on the bound positions."""
     constraints: list[tuple[int, Any]] = []
     for position, term in enumerate(atom.terms):
         if isinstance(term, Constant):
@@ -228,20 +221,7 @@ def _atom_rows(
             constraints.append((position, bound[term]))
     positions = tuple(i for i, __ in constraints)
     values = tuple(v for __, v in constraints)
-
-    if virtual is not None and atom.relation in virtual:
-        virtual.validate_arity(atom.relation, atom.arity)
-        yield from virtual.lookup(atom.relation, positions, values)
-        return
-
-    instance = db.relation(atom.relation)
-    if instance.schema.arity != atom.arity:
-        raise QueryError(
-            f"atom {atom!r} has arity {atom.arity}, relation has "
-            f"{instance.schema.arity}"
-        )
-    for row in instance.lookup(positions, values):
-        yield row.values
+    return relation_for(atom, db, virtual)[0].lookup(positions, values)
 
 
 def _consistent_extension(
@@ -313,7 +293,7 @@ def _check_comparison(comparison: ComparisonAtom, binding: Binding) -> bool:
 def reference_bindings(
     query: ConjunctiveQuery,
     db: Database,
-    virtual: VirtualRelations | None = None,
+    virtual: Database | None = None,
 ) -> Iterator[Binding]:
     """The pre-planner evaluator: greedy join order, recursive descent.
 
@@ -327,7 +307,6 @@ def reference_bindings(
             "its λ-parameters first"
         )
     query.check_safety()
-    indexed = IndexedVirtualRelations.wrap(virtual)
 
     # Ground comparisons hold for every binding or none.
     pending: list[ComparisonAtom] = []
@@ -362,7 +341,7 @@ def reference_bindings(
             yield binding
             return
         atom = ordered_atoms[index]
-        for values in _atom_rows(atom, db, indexed, binding):
+        for values in _atom_rows(atom, db, virtual, binding):
             extension = _consistent_extension(atom, values, binding)
             if extension is None:
                 continue

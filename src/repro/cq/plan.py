@@ -37,12 +37,18 @@ Plans for α-equivalent queries are shared: :class:`QueryPlanner` caches
 the plan of the *canonical* query (see :mod:`repro.cq.canonical`) and
 rebinds it to each caller's variables, keyed by the same canonical key
 the rewriting cache uses.
+
+Rewritings read views as well as base relations.  A citation engine
+keeps its materialized views in a store of their own
+(:func:`~repro.relational.database.view_store`), which every function
+here takes as ``virtual``; :func:`relation_for` resolves a relation name
+to its instance in that store or in the database.
 """
 
 from __future__ import annotations
 
 import os
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -51,19 +57,10 @@ from repro.cq.canonical import canonical_key_and_renaming, canonical_query
 from repro.cq.query import ConjunctiveQuery
 from repro.cq.terms import Constant, Term, Variable
 from repro.errors import QueryError
-from repro.relational.database import Database
+from repro.relational.database import Database, RelationInstance
 from repro.relational.expressions import ComparisonOp
-from repro.relational.statistics import (
-    Interval,
-    RelationStatistics,
-    statistics_of,
-)
+from repro.relational.statistics import Interval, RelationStatistics
 from repro.util.lru import VersionedLRU
-
-#: Virtual relations: name -> rows.  Anything with a ``statistics_for``
-#: method (e.g. :class:`repro.cq.executor.IndexedVirtualRelations`) serves
-#: cached statistics; plain mappings are profiled on the fly.
-VirtualRelations = Mapping[str, Sequence[tuple[Any, ...]]]
 
 #: Plan-verification modes (see :mod:`repro.analysis.verifier`).
 VERIFY_MODES = ("off", "always")
@@ -383,7 +380,7 @@ class JoinStep:
         The atom's position in the query body (stable across
         α-equivalent queries, which is what makes plan rebinding sound).
     virtual:
-        True when the atom resolves to a virtual relation.
+        True when the atom resolves to a view in the view store.
     lookup_positions / lookup_terms:
         The access path: positions constrained at probe time, and the
         aligned terms supplying the probe values (constants, or variables
@@ -694,30 +691,42 @@ def prefix_keys(
     return keys, renaming
 
 
-def _statistics_for_atom(
+def relation_for(
     atom: RelationalAtom,
     db: Database,
-    virtual: VirtualRelations | None,
-) -> tuple[RelationStatistics, bool]:
-    """Resolve an atom to (statistics, is_virtual), validating arity."""
-    if virtual is not None and atom.relation in virtual:
-        provider = getattr(virtual, "statistics_for", None)
-        if provider is not None:
-            return provider(atom.relation, atom.arity), True
-        rows = virtual[atom.relation]
-        for values in rows:
-            if len(values) != atom.arity:
-                raise QueryError(
-                    f"virtual relation {atom.relation!r} arity mismatch"
-                )
-        return statistics_of(rows, atom.arity), True
-    instance = db.relation(atom.relation)
+    virtual: Database | None,
+) -> tuple[RelationInstance, bool]:
+    """The instance ``atom`` reads, and whether it is a view.
+
+    A name the view store ``virtual`` holds resolves there, any other
+    to ``db``.  Raises :class:`QueryError` when the atom's arity is not
+    the relation's (for a view, the arity of its head).
+    """
+    is_view = virtual is not None and atom.relation in virtual
+    instance = (virtual if is_view else db).relation(atom.relation)
     if instance.schema.arity != atom.arity:
         raise QueryError(
             f"atom {atom!r} has arity {atom.arity}, relation has "
             f"{instance.schema.arity}"
         )
-    return instance.stats, False
+    return instance, is_view
+
+
+def cache_tags(
+    names: Iterable[str], db: Database, virtual: Database | None
+) -> tuple[Database, tuple, tuple]:
+    """The tags of a cache entry computed from the named relations.
+
+    The database, the versions of its relations among ``names``
+    (:meth:`~repro.relational.database.Database.versions`), and as the
+    token the view store with the versions of its views among ``names``
+    (``()`` when none is read).  Within a store's life a ``(store,
+    view, version)`` triple names one extension, so equal tags mean the
+    entry was computed over the same data.
+    """
+    names = tuple(names)
+    views = virtual.versions(names) if virtual is not None else ()
+    return db, db.versions(names), (virtual, views) if views else ()
 
 
 def _estimate_access_paths(
@@ -914,7 +923,7 @@ def _build_step(
 def plan_query(
     query: ConjunctiveQuery,
     db: Database,
-    virtual: VirtualRelations | None = None,
+    virtual: Database | None = None,
 ) -> QueryPlan:
     """Build a cost-based plan for ``query`` over ``db``.
 
@@ -935,8 +944,8 @@ def plan_query(
         The database whose statistics drive the cost model (and whose
         relations the plan's base access paths resolve to).
     virtual:
-        Optional virtual relations (materialized view instances) visible
-        to the query body.
+        Optional view store (:func:`~repro.relational.database.view_store`)
+        whose materialized views the query body may read.
 
     Returns
     -------
@@ -944,7 +953,7 @@ def plan_query(
         An executable plan; ``empty`` is set when a false ground
         comparison or contradictory pushed equalities prove the result
         empty without touching data.  Raises :class:`QueryError` on arity
-        mismatches (base and virtual) at plan time.
+        mismatches (base relations and views) at plan time.
     """
     if query.is_parameterized:
         raise QueryError(
@@ -1005,7 +1014,10 @@ def plan_query(
         ))
 
     resolved = [
-        _statistics_for_atom(atom, db, virtual) for atom in query.atoms
+        (instance.stats, is_view)
+        for instance, is_view in (
+            relation_for(atom, db, virtual) for atom in query.atoms
+        )
     ]
     pushed_equalities = closure.pushed_by_class()
     pushed_range_map = intervals.pushed_by_class()
@@ -1085,27 +1097,6 @@ def plan_query(
     )
 
 
-def _content_token(rows: Sequence[tuple[Any, ...]]) -> tuple:
-    """A cheap content fingerprint for one virtual relation's rows.
-
-    Size alone is not enough: replacing a row keeps the size but changes
-    the statistics the cached plan was costed against (and a stale plan
-    built for dead statistics can pick a pathological join order).  Rows
-    are hashable throughout the codebase; if a caller smuggles in
-    unhashable values we degrade to the legacy size-only fingerprint
-    rather than fail.
-
-    Hashing is O(rows); callers who replan over the same materialization
-    should hold an :class:`~repro.cq.executor.IndexedVirtualRelations`,
-    whose ``content_token`` caches the hash for the wrapper's lifetime
-    (the same amortization its hash indexes already rely on).
-    """
-    try:
-        return (len(rows), hash(tuple(rows)))
-    except TypeError:
-        return (len(rows),)
-
-
 #: Default plan-cache bound: generous for template-shaped traffic (a few
 #: thousand distinct structures), finite under millions-of-distinct-query
 #: traffic where an unbounded cache would grow without limit.
@@ -1118,15 +1109,10 @@ class QueryPlanner:
     Plans are built once per query *structure* (for its canonical form)
     and rebound to each caller's variables — the same sharing discipline
     as :class:`repro.citation.cache.CachedRewritingEngine`.  A cached
-    entry is invalidated when a base relation it reads changes (its
-    :meth:`~repro.relational.database.Database.versions` entry, so a
-    write to another relation leaves it warm) or when
-    the referenced virtual relations' *content* changes (fingerprinted by
-    a content hash — size alone would let a same-size update serve plans
-    costed against dead statistics), since either can change the optimal
-    join order.  :class:`~repro.cq.executor.IndexedVirtualRelations`
-    caches the content hash per relation, so engines holding one
-    materialization pay it once.
+    entry is invalidated when a relation it reads changes, base relation
+    or view (:func:`cache_tags`: per-relation versions, so a write to
+    another relation leaves it warm), since that can change the optimal
+    join order.
 
     Two :class:`~repro.util.lru.VersionedLRU` levels, each bounded by
     ``max_entries``: the canonical cache, and an exact-match fast path
@@ -1176,33 +1162,10 @@ class QueryPlanner:
             "size": self.size,
         }
 
-    def _tags(
-        self, query: ConjunctiveQuery, virtual: VirtualRelations | None
-    ) -> tuple[Database, tuple, tuple]:
-        """The cache tags of ``query``'s plan: the database, the versions
-        of the base relations it reads, and the content fingerprints of
-        the virtual relations it reads."""
-        names = query.relation_names()
-        if virtual is None:
-            return self.db, self.db.versions(names), ()
-        token_of = getattr(virtual, "content_token", None)
-        fingerprint = tuple(
-            (
-                name,
-                token_of(name)
-                if token_of is not None
-                else _content_token(virtual[name]),
-            )
-            for name in names
-            if name in virtual
-        )
-        base = self.db.versions(name for name in names if name not in virtual)
-        return self.db, base, fingerprint
-
     def plan(
         self,
         query: ConjunctiveQuery,
-        virtual: VirtualRelations | None = None,
+        virtual: Database | None = None,
     ) -> QueryPlan:
         if query.is_parameterized:
             # A plan binds every body variable from the data; it would
@@ -1216,7 +1179,7 @@ class QueryPlanner:
         # reported in the *caller's* variable names, not as the
         # canonical `vN` that plan_query would see.
         query.check_safety()
-        tags = self._tags(query, virtual)
+        tags = cache_tags(query.relation_names(), self.db, virtual)
         plan = self._exact_cache.get(query, *tags)
         if plan is not None:
             return _maybe_verify(plan)

@@ -22,12 +22,11 @@ Correctness discipline:
   computation, so seeding changes neither the multiset nor the order of
   results — the property suite asserts planned ≡ reference exactly,
   seeded and unseeded.
-- Entries are version-aware, invalidated by the same fingerprints the
-  plan cache uses: the database's
-  :attr:`~repro.relational.database.Database.stats_version` and the
-  content tokens of every virtual relation the prefix reads.  Any
-  insert/delete/bulk load (or virtual-content change) makes the stored
-  bindings unreachable; the next execution re-materializes.
+- Entries are version-aware, tagged like plans
+  (:func:`~repro.cq.plan.cache_tags`): with the versions of the base
+  relations and the views the prefix reads.  A row change to one of
+  them makes the stored bindings unreachable, and the next execution
+  re-materializes; a write to any other relation leaves them warm.
 - The memo is a :class:`~repro.util.lru.VersionedLRU`, bounded and
   counted like every other engine cache.
 
@@ -45,15 +44,19 @@ from typing import Any
 
 from repro.cq.executor import (
     Binding,
-    IndexedVirtualRelations,
     SequenceSourceOperator,
-    VirtualRelations,
     _comparison_checker,
     build_operator_chain,
     execute_plan,
     execute_plan_seeded,
 )
-from repro.cq.plan import JoinStep, PrefixKey, QueryPlan, prefix_keys
+from repro.cq.plan import (
+    JoinStep,
+    PrefixKey,
+    QueryPlan,
+    cache_tags,
+    prefix_keys,
+)
 from repro.relational.database import Database
 from repro.util.lru import VersionedLRU
 
@@ -62,34 +65,13 @@ from repro.util.lru import VersionedLRU
 DEFAULT_MEMO_ENTRIES = 1024
 
 
-def _prefix_fingerprint(
-    steps: Sequence[JoinStep],
-    virtual: IndexedVirtualRelations | None,
-) -> tuple | None:
-    """Content tokens of the virtual relations a prefix reads.
-
-    Paired with the database identity and ``stats_version`` this is the
-    invalidation signal the plan cache uses; names are sorted so
-    producer and consumer (whose key equality already implies the same
-    relation set) compute identical fingerprints.
-
-    ``None`` means the prefix is *unsharable*: some virtual relation's
-    content token degraded to the size-only form (unhashable rows — see
-    :func:`repro.cq.plan._content_token`).  A size-only tag is fine for
-    the plan cache (a stale plan merely costs time) but not for a cache
-    of materialized bindings, where failing to invalidate means wrong
-    results; callers skip both seeding and storing then.
-    """
-    names = sorted({s.atom.relation for s in steps if s.virtual})
-    if not names or virtual is None:
-        return ()
-    tokens = []
-    for name in names:
-        token = virtual.content_token(name)
-        if len(token) < 2:  # size-only degrade: content not fingerprintable
-            return None
-        tokens.append((name, token))
-    return tuple(tokens)
+def _prefix_tags(
+    steps: Sequence[JoinStep], db: Database, virtual: Database | None
+) -> tuple[Database, tuple, tuple]:
+    """The cache tags of a prefix: the relations its steps read, in step
+    order, so producer and consumer (whose equal keys already imply the
+    same steps) compute identical tags."""
+    return cache_tags((step.atom.relation for step in steps), db, virtual)
 
 
 class SubplanMemo(VersionedLRU[PrefixKey, list[Binding]]):
@@ -99,10 +81,10 @@ class SubplanMemo(VersionedLRU[PrefixKey, list[Binding]]):
     prefix's binding sequence in canonical variable space (``p0, p1,
     ...`` — the renaming of :func:`~repro.cq.plan.prefix_keys`), tagged
     with the database they were computed over (by identity: equal keys
-    over *different* databases describe different data), its statistics
-    version, and the virtual-content fingerprint; :meth:`lookup` drops
-    entries whose tags no longer match, so data mutations invalidate
-    transparently.
+    over *different* databases describe different data) and the
+    versions of the relations and views the prefix reads; :meth:`lookup`
+    drops entries whose tags no longer match, so data mutations
+    invalidate transparently.
 
     Keys must be :meth:`reserve`-d before :func:`execute_plan_shared`
     will materialize them — the batch layer reserves exactly the keys
@@ -117,8 +99,8 @@ class SubplanMemo(VersionedLRU[PrefixKey, list[Binding]]):
             max_entries, "sub-plan reservations"
         )
 
-    #: ``lookup(key, db, version, fingerprint)``: the valid bindings for
-    #: ``key`` or None; ``store(key, bindings, db, version, fingerprint)``.
+    #: ``lookup(key, db, versions, token)``: the valid bindings for
+    #: ``key`` or None; ``store(key, bindings, db, versions, token)``.
     lookup = VersionedLRU.get
     store = VersionedLRU.put
 
@@ -188,7 +170,7 @@ def reserve_shared_prefixes(
 def execute_plan_shared(
     plan: QueryPlan,
     db: Database,
-    virtual: VirtualRelations | None = None,
+    virtual: Database | None = None,
     memo: SubplanMemo | None = None,
 ) -> Iterator[Binding]:
     """Stream a plan's bindings, seeding/feeding the sub-plan memo.
@@ -214,38 +196,31 @@ def execute_plan_shared(
         yield from execute_plan(plan, db, virtual)
         return
 
-    indexed = IndexedVirtualRelations.wrap(virtual)
-    version = db.stats_version
     keys, renaming = prefix_keys(plan)
     count = len(keys)
 
-    def fingerprint(length: int) -> tuple | None:
-        return _prefix_fingerprint(plan.steps[:length], indexed)
+    def tags(length: int) -> tuple[Database, tuple, tuple]:
+        return _prefix_tags(plan.steps[:length], db, virtual)
 
     hit_length = 0
     canonical_seeds: list[Binding] | None = None
     for length in range(count, 0, -1):
         if keys[length - 1] not in memo:
-            continue  # fingerprints are only worth computing on presence
-        current = fingerprint(length)
-        if current is None:
-            continue  # unsharable prefix (unfingerprintable virtual rows)
-        if memo.peek(keys[length - 1], db, version, current) is not None:
+            continue  # tags are only worth computing on presence
+        current = tags(length)
+        if memo.peek(keys[length - 1], *current) is not None:
             # Served through lookup so the hit is counted once per
             # seeded execution (and sanitizer-checked at the serve).
-            canonical_seeds = memo.lookup(
-                keys[length - 1], db, version, current
-            )
+            canonical_seeds = memo.lookup(keys[length - 1], *current)
             hit_length = length
             break
     pending = [
         length
         for length in range(hit_length + 1, count + 1)
         if memo.is_reserved(keys[length - 1])
-        and fingerprint(length) is not None
     ]
     if not hit_length and not pending:
-        yield from execute_plan(plan, db, indexed)
+        yield from execute_plan(plan, db, virtual)
         return
 
     if hit_length:
@@ -267,31 +242,27 @@ def execute_plan_shared(
                     SequenceSourceOperator(bindings),
                     plan.steps[level:length],
                     db,
-                    indexed,
+                    virtual,
                     check,
                 )
             )
-            current = fingerprint(length)
-            assert current is not None  # pending filtered unsharable levels
             memo.store(
                 keys[length - 1],
                 [
                     {renaming[var]: value for var, value in binding.items()}
                     for binding in bindings
                 ],
-                db,
-                version,
-                current,
+                *tags(length),
             )
             level = length
-    yield from execute_plan_seeded(plan, db, indexed, bindings, level)
+    yield from execute_plan_seeded(plan, db, virtual, bindings, level)
 
 
 def explain_with_memo(
     plan: QueryPlan,
     memo: SubplanMemo | None,
     db: Database,
-    virtual: VirtualRelations | None = None,
+    virtual: Database | None = None,
     diagnostics: Any = None,
 ) -> str:
     """EXPLAIN with the sub-plan memo's view of the plan appended.
@@ -306,8 +277,6 @@ def explain_with_memo(
     text = plan.explain(diagnostics=diagnostics)
     if memo is None or plan.empty or not plan.steps:
         return text
-    indexed = IndexedVirtualRelations.wrap(virtual)
-    version = db.stats_version
     keys, __ = prefix_keys(plan)
 
     def span(length: int) -> str:
@@ -315,9 +284,8 @@ def explain_with_memo(
 
     for length in range(len(keys), 0, -1):
         key = keys[length - 1]
-        current = _prefix_fingerprint(plan.steps[:length], indexed)
-        if current is not None and \
-                memo.peek(key, db, version, current) is not None:
+        current = _prefix_tags(plan.steps[:length], db, virtual)
+        if memo.peek(key, *current) is not None:
             return (
                 f"{text}\n  shared prefix: {span(length)} "
                 "reused from memo"

@@ -96,7 +96,7 @@ class UnionQuery:
         self,
         db: Database,
         planner: QueryPlanner | None = None,
-        virtual: Any = None,
+        virtual: Database | None = None,
     ) -> tuple[QueryPlan, ...]:
         """One cost-based plan per disjunct.
 
@@ -115,7 +115,7 @@ class UnionQuery:
         db: Database,
         planner: QueryPlanner | None = None,
         memo: SubplanMemo | None = None,
-        virtual: Any = None,
+        virtual: Database | None = None,
     ) -> list[tuple[Any, ...]]:
         """Set-semantics union of the disjuncts' results.
 
@@ -138,7 +138,8 @@ class UnionQuery:
             disjuncts — and later evaluations, until data mutations
             invalidate the entries — seed from the stored bindings.
         virtual:
-            Optional virtual relations visible to the disjunct bodies.
+            Optional view store whose materialized views the disjunct
+            bodies may read.
         """
         plans = self.plan(db, planner, virtual)
         if memo is not None:
@@ -154,7 +155,7 @@ class UnionQuery:
         db: Database,
         planner: QueryPlanner | None = None,
         memo: SubplanMemo | None = None,
-        virtual: Any = None,
+        virtual: Database | None = None,
         diagnostics: Any = None,
     ) -> str:
         """Per-disjunct EXPLAIN with the memo's shared-prefix view.

@@ -19,9 +19,9 @@ from repro.relational.types import (
     value_matches,
 )
 from repro.relational.schema import Attribute, ForeignKey, RelationSchema, Schema
-from repro.relational.statistics import RelationStatistics, statistics_of
+from repro.relational.statistics import RelationStatistics
 from repro.relational.tuples import Row
-from repro.relational.database import Database, RelationInstance
+from repro.relational.database import Database, RelationInstance, view_store
 from repro.relational.expressions import ComparisonOp
 
 __all__ = [
@@ -40,7 +40,7 @@ __all__ = [
     "Row",
     "Database",
     "RelationInstance",
+    "view_store",
     "RelationStatistics",
-    "statistics_of",
     "ComparisonOp",
 ]

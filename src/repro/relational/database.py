@@ -7,14 +7,15 @@ indexes over primary keys and requested attribute sets to keep conjunctive-
 query evaluation near-linear on laptop-scale data.  Every effective row
 change is reported to the database's subscribed listeners
 (:meth:`Database.subscribe`), which is how citation engines keep their
-views and records current.
+views and records current.  A citation engine keeps its materialized
+views in a database of their own (:func:`view_store`).
 """
 
 from __future__ import annotations
 
 import weakref
 from bisect import bisect_left, bisect_right
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from typing import Any, Protocol
 
 from repro.analysis import sanitizer as _sanitizer
@@ -27,7 +28,7 @@ from repro.errors import (
 from repro.relational.schema import RelationSchema, Schema
 from repro.relational.statistics import Interval, RelationStatistics
 from repro.relational.tuples import Row
-from repro.relational.types import check_value
+from repro.relational.types import check_value, value_matches
 
 #: Phases of a row change, as :meth:`Database.subscribe` listeners see
 #: them: after an insert lands, before and after a delete removes its
@@ -44,7 +45,8 @@ class RowChangeListener(Protocol):
 
 
 #: A sorted secondary index over one column: the sorted key list and the
-#: rows aligned with it (stable, so equal keys keep insertion order).
+#: rows' values aligned with it (stable, so equal keys keep insertion
+#: order).
 SortedIndex = tuple[list[Any], list[Any]]
 
 #: A composite secondary index: a hash index over the equality-bound
@@ -149,7 +151,12 @@ def sorted_index_slice(index: SortedIndex, interval: Interval) -> list[Any] | No
 
 
 class RelationInstance:
-    """The extension of one relation: an insertion-ordered set of rows."""
+    """The extension of one relation: an insertion-ordered set of rows.
+
+    Its secondary indexes hold each row's ``values`` tuple, so probes
+    (:meth:`lookup`, :meth:`range_lookup`, :meth:`composite_lookup`)
+    hand the executor value tuples without unwrapping a :class:`Row`.
+    """
 
     def __init__(
         self,
@@ -167,10 +174,13 @@ class RelationInstance:
         #: reference order property, follows this order.
         self._rows: dict[Row, None] = {}
         self._key_index: dict[tuple[Any, ...], Row] = {}
-        # Secondary hash indexes, built lazily: positions -> {values: [rows]}
-        self._indexes: dict[tuple[int, ...], dict[tuple[Any, ...], list[Row]]] = {}
+        # Secondary hash indexes, built lazily: positions -> {projection:
+        # [values]}.  The empty position set has one bucket, every row.
+        self._indexes: dict[
+            tuple[int, ...], dict[tuple[Any, ...], list[tuple[Any, ...]]]
+        ] = {}
         # Sorted secondary indexes for range probes, built lazily:
-        # position -> (sorted keys, aligned rows).  A cached ``None``
+        # position -> (sorted keys, aligned values).  A cached ``None``
         # records a mixed-type (unsortable) column.
         self._sorted_indexes: dict[int, SortedIndex | None] = {}
         # Composite secondary indexes for combined equality+range probes,
@@ -196,7 +206,10 @@ class RelationInstance:
         if len(values) != self.schema.arity:
             raise ArityError(self.schema.name, self.schema.arity, len(values))
         for attr, value in zip(self.schema.attributes, values):
-            check_value(value, attr.domain, f"{self.schema.name}.{attr.name}")
+            if not value_matches(value, attr.domain):
+                check_value(
+                    value, attr.domain, f"{self.schema.name}.{attr.name}"
+                )
         return Row(self.schema.name, values)
 
     def insert(self, values: Sequence[Any], enforce_key: bool = True) -> Row:
@@ -224,7 +237,7 @@ class RelationInstance:
         if self._key_positions is not None:
             self._key_index[row.project(self._key_positions)] = row
         for positions, index in self._indexes.items():
-            index.setdefault(row.project(positions), []).append(row)
+            index.setdefault(row.project(positions), []).append(row.values)
         for position in list(self._sorted_indexes):
             self._sorted_insert(position, row)
         for key in self._composite_indexes:
@@ -251,7 +264,7 @@ class RelationInstance:
             self._sorted_indexes[position] = None
             return
         keys.insert(at, key)
-        rows.insert(at, row)
+        rows.insert(at, row.values)
 
     def _sorted_remove(self, position: int, row: Row) -> None:
         """Maintain one sorted index across a delete."""
@@ -268,7 +281,7 @@ class RelationInstance:
         at = bisect_left(keys, key)
         stop = bisect_right(keys, key)
         while at < stop:
-            if rows[at] == row:
+            if rows[at] == row.values:
                 del keys[at]
                 del rows[at]
                 return
@@ -286,7 +299,7 @@ class RelationInstance:
         if bucket is None:
             if bucket_key in index:
                 return  # bucket already degraded to the hash fallback
-            index[bucket_key] = ([order_key], [row])
+            index[bucket_key] = ([order_key], [row.values])
             return
         keys, rows = bucket
         try:
@@ -297,7 +310,7 @@ class RelationInstance:
             index[bucket_key] = None
             return
         keys.insert(at, order_key)
-        rows.insert(at, row)
+        rows.insert(at, row.values)
 
     def _composite_remove(self, key: tuple[tuple[int, ...], int], row: Row) -> None:
         """Maintain one composite index across a delete."""
@@ -322,7 +335,7 @@ class RelationInstance:
             del self._composite_indexes[key]
             return
         while at < stop:
-            if rows[at] == row:
+            if rows[at] == row.values:
                 del keys[at]
                 del rows[at]
                 break
@@ -401,7 +414,7 @@ class RelationInstance:
         for positions, index in self._indexes.items():
             bucket = index.get(row.project(positions))
             if bucket is not None:
-                bucket.remove(row)
+                bucket.remove(row.values)
                 if not bucket:
                     del index[row.project(positions)]
         for position in list(self._sorted_indexes):
@@ -412,6 +425,29 @@ class RelationInstance:
         if self._owner is not None:
             self._owner._report(self.schema.name, row.values, DELETED)
         return True
+
+    def clear(self) -> None:
+        """Remove every row at once.
+
+        Like deleting each row, it advances the version by the number of
+        rows removed, past every version the relation had: a cache entry
+        tagged with an earlier version never matches the rows loaded
+        next.  Listeners see one :data:`BULK` change.
+        """
+        removed = len(self._rows)
+        if not removed:
+            return
+        if _sanitizer._active:
+            _sanitizer.check_mutation(self._owner or self)
+        self._rows.clear()
+        self._key_index.clear()
+        self._indexes.clear()
+        self._sorted_indexes.clear()
+        self._composite_indexes.clear()
+        self.stats.clear()
+        self._note_mutation(removed)
+        if self._owner is not None:
+            self._owner._report(self.schema.name, None, BULK)
 
     # -- access ---------------------------------------------------------------
 
@@ -434,21 +470,25 @@ class RelationInstance:
 
     def ensure_index(self, positions: tuple[int, ...]) -> None:
         """Build (and cache) the hash index on ``positions``."""
-        if positions and positions not in self._indexes:
-            index: dict[tuple[Any, ...], list[Row]] = {}
+        if positions not in self._indexes:
+            index: dict[tuple[Any, ...], list[tuple[Any, ...]]] = {}
             for row in self._rows:
-                index.setdefault(row.project(positions), []).append(row)
+                index.setdefault(row.project(positions), []).append(row.values)
             self._indexes[positions] = index
 
-    def lookup(self, positions: tuple[int, ...], values: tuple[Any, ...]) -> list[Row]:
-        """Rows whose projection on ``positions`` equals ``values``.
+    def lookup(
+        self, positions: tuple[int, ...], values: tuple[Any, ...]
+    ) -> Sequence[tuple[Any, ...]]:
+        """The values of the rows whose projection on ``positions`` equals
+        ``values``, in insertion order (every row for no positions).
 
-        Builds (and caches) a hash index on ``positions`` on first use.
+        Served from a hash index on ``positions``, built on first use and
+        maintained row by row after that.  The list returned is the
+        index's own bucket, not a copy: read it before the next write to
+        this relation, and never change it.
         """
-        if not positions:
-            return self.rows()
         self.ensure_index(positions)
-        return list(self._indexes[positions].get(values, ()))
+        return self._indexes[positions].get(values, ())
 
     def ensure_sorted_index(self, position: int) -> SortedIndex | None:
         """Build (and cache) the sorted index on ``position``.
@@ -458,12 +498,16 @@ class RelationInstance:
         """
         if position not in self._sorted_indexes:
             self._sorted_indexes[position] = build_sorted_index(
-                self._rows, lambda row: row.values[position]
+                (row.values for row in self._rows),
+                lambda values: values[position],
             )
         return self._sorted_indexes[position]
 
-    def range_lookup(self, position: int, interval: Interval) -> list[Row] | None:
-        """Rows whose ``position`` value lies inside ``interval``.
+    def range_lookup(
+        self, position: int, interval: Interval
+    ) -> list[tuple[Any, ...]] | None:
+        """The values of the rows whose ``position`` value lies inside
+        ``interval``.
 
         Served from the sorted secondary index via bisect, in key order
         (insertion order among equal keys).  Returns ``None`` when the
@@ -484,9 +528,9 @@ class RelationInstance:
         index = self._composite_indexes.get(key)
         if index is None:
             index = build_composite_index(
-                self._rows,
-                lambda row: row.project(positions),
-                lambda row: row.values[order_position],
+                (row.values for row in self._rows),
+                lambda values: tuple(values[i] for i in positions),
+                lambda values: values[order_position],
             )
             self._composite_indexes[key] = index
         return index
@@ -497,9 +541,10 @@ class RelationInstance:
         values: tuple[Any, ...],
         order_position: int,
         interval: Interval,
-    ) -> list[Row] | None:
-        """Rows matching ``positions = values`` with ``order_position``
-        inside ``interval`` — one hash probe plus one bisect.
+    ) -> list[tuple[Any, ...]] | None:
+        """The values of the rows matching ``positions = values`` with
+        ``order_position`` inside ``interval`` — one hash probe plus one
+        bisect.
 
         Served in order-key order (insertion order among equal keys).
         Returns ``None`` when the composite path cannot serve the probe
@@ -554,7 +599,7 @@ class Database:
         Maintained incrementally (each effective insert/delete bumps it
         through the owning instance) rather than summed over every
         relation's statistics on each read.  ``/stats``, the mutation
-        replies, fixity and the sub-plan memo read it; plans and QA
+        replies and fixity read it; plans, sub-plan memo entries and QA
         analyses tag their entries with the per-relation
         :meth:`versions` instead, so a write to one relation leaves the
         entries over the others warm.
@@ -677,3 +722,19 @@ class Database:
             f"{name}={len(inst)}" for name, inst in self._instances.items()
         )
         return f"Database({sizes})"
+
+
+def view_store(arities: Mapping[str, int]) -> Database:
+    """An empty store for materialized views: one relation per name.
+
+    Def 2.1 makes a view instance a set of tuples, which is what a
+    :class:`RelationInstance` holds.  Each relation has ``arity``
+    untyped (``ANY``) columns and no key, so the arity of a view comes
+    from its head even while the view is empty.  A citation engine owns
+    one store; nothing subscribes to it, and its writes move no version
+    of any other database.
+    """
+    return Database(Schema(
+        RelationSchema(name, [f"c{index}" for index in range(arity)])
+        for name, arity in arities.items()
+    ))

@@ -279,6 +279,14 @@ class RelationStatistics:
             else:
                 del counter[value]
 
+    def clear(self) -> None:
+        """Forget every row; the version advances by the rows forgotten,
+        as if each had been removed."""
+        self.version += self.cardinality
+        self.cardinality = 0
+        for counter in self._column_counts:
+            counter.clear()
+
     # -- estimators -----------------------------------------------------------
 
     def distinct(self, position: int) -> int:
@@ -441,14 +449,3 @@ class RelationStatistics:
             f"distinct=[{distinct}])"
         )
 
-
-def statistics_of(rows: Sequence[Sequence[Any]], arity: int) -> RelationStatistics:
-    """Build statistics from scratch for an existing row collection.
-
-    Used for virtual relations (materialized view instances), whose rows
-    arrive as plain tuples rather than through the database mutation path.
-    """
-    stats = RelationStatistics(arity)
-    for values in rows:
-        stats.add_row(values)
-    return stats

@@ -23,9 +23,13 @@ from repro.semiring.base import Semiring
 
 
 class ProvenanceMonomial:
-    """A commutative product of tokens with multiplicities, e.g. ``x²y``."""
+    """A commutative product of tokens with multiplicities, e.g. ``x²y``.
 
-    __slots__ = ("_powers", "_hash")
+    Its ``repr`` is computed once and kept: polynomials sort their
+    monomials by it on every construction.
+    """
+
+    __slots__ = ("_powers", "_hash", "_repr")
 
     def __init__(self, powers: Mapping[Any, int] | Iterable[Any] = ()) -> None:
         if isinstance(powers, Mapping):
@@ -43,6 +47,7 @@ class ProvenanceMonomial:
             sorted(items.items(), key=lambda kv: repr(kv[0]))
         )
         self._hash = hash(frozenset(self._powers.items()))
+        self._repr: str | None = None
 
     # -- inspection -----------------------------------------------------------
 
@@ -97,13 +102,13 @@ class ProvenanceMonomial:
         return self._hash
 
     def __repr__(self) -> str:
-        if not self._powers:
-            return "1"
-        parts = []
-        for token, exponent in self._powers.items():
-            text = str(token)
-            parts.append(text if exponent == 1 else f"{text}^{exponent}")
-        return "·".join(parts)
+        if self._repr is None:
+            parts = []
+            for token, exponent in self._powers.items():
+                text = str(token)
+                parts.append(text if exponent == 1 else f"{text}^{exponent}")
+            self._repr = "·".join(parts) if parts else "1"
+        return self._repr
 
 
 class ProvenancePolynomial:

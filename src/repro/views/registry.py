@@ -88,9 +88,10 @@ class ViewRegistry:
 
         Because Def 2.1 requires ``X ⊆ Y``, the unparameterized extension
         is the union of all instantiations, so rewritings that mention view
-        atoms can be evaluated against these extensions as virtual
-        relations.  With a ``planner`` each extension query goes through
-        the shared plan cache, so re-materialization replans nothing.
+        atoms can be evaluated against these extensions, loaded into a
+        view store (:func:`~repro.relational.database.view_store`).  With
+        a ``planner`` each extension query goes through the shared plan
+        cache, so re-materialization replans nothing.
 
         With ``pinned=(relation, values)`` each view's *delta* is
         computed instead: the extension tuples that row derives

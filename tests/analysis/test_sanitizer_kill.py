@@ -128,24 +128,49 @@ class TestWorkerThreadMutation:
 class TestStaleCacheServe:
     """Kill: a version-keyed cache serves without re-validating."""
 
+    #: The batch's one shared prefix scans V2, the FamilyIntro view.
+    MEMO_QUERIES = (
+        QUERY,
+        'Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = "gpcr"',
+    )
+
     def test_patched_out_memo_validation_is_caught(
         self, active, engine, monkeypatch
     ):
-        queries = [parse_query(QUERY), parse_query(
-            'Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = "gpcr"'
-        )]
+        queries = [parse_query(text) for text in self.MEMO_QUERIES]
         engine.cite_batch(queries)  # populate the sub-plan memo
 
         def stale_fresh(self, entry, version, token):
             return True  # BUG: serves without any validation
 
         monkeypatch.setattr(SubplanMemo, "_fresh", stale_fresh)
-        engine.db.insert("Family", "F998", "stale", "gpcr")
+        # A FamilyIntro row changes V2; a delete keeps V2 first in the
+        # plans, so the stale entry is looked up again.
+        engine.db.delete("FamilyIntro", "13", "Familyb")
         with pytest.raises(ConcurrencySanitizerError) as err:
             engine.cite_batch(queries)
         assert err.value.check == "stale-cache", (
             "the sanitizer FAILED to catch a memo serving a stale entry"
         )
+
+    def test_write_to_another_relation_serves_quietly(
+        self, active, engine, monkeypatch
+    ):
+        # Control: a Family row changes no view the memo entry reads,
+        # so the entry is fresh, served, and the sanitizer stays quiet.
+        queries = [parse_query(text) for text in self.MEMO_QUERIES]
+        engine.cite_batch(queries)
+        memo = engine.subplan_memo
+        assert [[part[0] for part in key] for key in memo._store] == [["V2"]]
+
+        def stale_fresh(self, entry, version, token):
+            return True
+
+        monkeypatch.setattr(SubplanMemo, "_fresh", stale_fresh)
+        engine.db.insert("Family", "F998", "stale", "gpcr")
+        hits = memo.hits
+        engine.cite_batch(queries)
+        assert memo.hits > hits
 
     def test_unbumped_stats_version_is_caught(
         self, active, engine, monkeypatch

@@ -244,6 +244,15 @@ def citation_json(engine, text):
     return json.dumps(engine.cite(text).citation(), default=str)
 
 
+def extensions(store):
+    """Each view's rows in the store, as ``registry.materialize`` lists
+    them."""
+    return {
+        instance.schema.name: [row.values for row in instance]
+        for instance in store.relations()
+    }
+
+
 class TestRowDeltas:
     """Writes reach the engine through the database's row-change hook."""
 
@@ -303,18 +312,18 @@ class TestRowDeltas:
         engine.materialized_views()
         fresh_db.delete("FamilyIntro", "11", "The calcitonin peptide family")
         fresh_db.insert("FamilyIntro", "11", "Intro")
-        assert engine.materialized_views()["V5"][-1][0] == "11"
+        assert extensions(engine.materialized_views())["V5"][-1][0] == "11"
         fresh_db.delete("Family", "12", "Calcium-sensing", "gpcr")
         fresh_db.delete("Family", "20", "CatSper", "vgic")
         fresh = registry.materialize(fresh_db)
         assert fresh["V5"][0][0] == "11"
-        assert dict(engine.materialized_views()) == fresh
+        assert extensions(engine.materialized_views()) == fresh
 
     def test_writes_are_applied_once_by_the_next_read(
         self, fresh_db, registry, monkeypatch
     ):
         # Each intro write changes V5, which the read then
-        # re-materializes once; V2 takes every change in one patch, in
+        # re-materializes once; V2 takes each change as it comes, in
         # order: the intro inserted and deleted again is gone, and the
         # one deleted and inserted again moves to the end.
         from repro.views.registry import ViewRegistry
@@ -336,10 +345,31 @@ class TestRowDeltas:
         fresh_db.delete("FamilyIntro", "11", "The calcitonin peptide family")
         fresh_db.insert("FamilyIntro", "11", "Intro11")
         assert rebuilt == []
-        views = dict(engine.materialized_views())
+        views = extensions(engine.materialized_views())
         assert rebuilt == [["V5"]]
         assert [row[0] for row in views["V2"]] == ["14", "20", "11"]
         assert views == materialize(registry, fresh_db)
+
+    def test_memo_keeps_prefixes_a_write_did_not_reach(
+        self, fresh_db, registry
+    ):
+        # The query's three rewritings share one prefix: a probe of FC.
+        text = 'Q(N) :- Family(F, N, Ty), FC(F, C), C = "p1"'
+        engine = CitationEngine(fresh_db, registry)
+        engine.cite(text)
+        memo = engine.subplan_memo
+        assert [[part[0] for part in key] for key in memo._store] == [["FC"]]
+        misses = memo.misses
+        fresh_db.insert("Family", "f99", "NewFam", "gpcr")
+        assert citation_json(engine, text) == citation_json(
+            CitationEngine(fresh_db, registry), text
+        )
+        assert memo.misses == misses
+        fresh_db.insert("FC", "12", "p1")
+        assert citation_json(engine, text) == citation_json(
+            CitationEngine(fresh_db, registry), text
+        )
+        assert memo.misses == misses + 1
 
     def test_a_long_write_run_is_rebuilt_once(
         self, fresh_db, registry, monkeypatch

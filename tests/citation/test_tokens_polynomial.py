@@ -81,3 +81,28 @@ class TestPolynomialHelpers:
 
     def test_empty_sum_is_zero(self):
         assert idempotent_sum([]) == ProvenancePolynomial.zero()
+
+    def test_rebuilding_from_existing_monomials_renders_no_token(
+        self, monkeypatch
+    ):
+        # A polynomial orders its monomials by their repr, which each
+        # monomial renders once: p.add(q) re-sorts without a token repr.
+        p = polynomial_from_monomials([
+            monomial_from_tokens([vt("V1", "11"), vt("V2", "11")]),
+            monomial_from_tokens([vt("V4", "gpcr")]),
+        ])
+        q = polynomial_from_monomials([
+            monomial_from_tokens([vt("V3")]),
+            monomial_from_tokens([vt("V4", "gpcr")]),
+        ])
+        calls = []
+        render = ViewCitationToken.__repr__
+        monkeypatch.setattr(
+            ViewCitationToken, "__repr__",
+            lambda token: calls.append(token) or render(token),
+        )
+        total = p.add(q)
+        assert calls == []
+        assert repr(total) == (
+            "C[V1('11')]·C[V2('11')] + C[V3] + 2·C[V4('gpcr')]"
+        )

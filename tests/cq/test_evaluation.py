@@ -6,12 +6,20 @@ from repro.cq.evaluation import (
     enumerate_bindings,
     evaluate_query,
     evaluate_with_bindings,
+    reference_bindings,
 )
 from repro.cq.parser import parse_query
 from repro.cq.terms import Variable
 from repro.errors import QueryError
-from repro.relational.database import Database
+from repro.relational.database import Database, view_store
 from repro.relational.schema import RelationSchema, Schema
+
+
+def store(arity, rows):
+    """A view store holding one view ``V`` of ``arity`` columns."""
+    virtual = view_store({"V": arity})
+    virtual.relation("V").insert_many(rows)
+    return virtual
 
 
 @pytest.fixture
@@ -128,18 +136,29 @@ class TestBindings:
 class TestVirtualRelations:
     def test_virtual_relation_visible(self, db):
         q = parse_query("Q(X) :- V(X, Y)")
-        virtual = {"V": [(1, "a"), (2, "b")]}
+        virtual = store(2, [(1, "a"), (2, "b")])
         assert evaluate_query(q, db, virtual=virtual) == [(1,), (2,)]
 
     def test_virtual_joins_with_base(self, db):
         q = parse_query("Q(X, B) :- V(X), R(X, B)")
-        virtual = {"V": [(1,), (99,)]}
+        virtual = store(1, [(1,), (99,)])
         assert evaluate_query(q, db, virtual=virtual) == [(1, 10)]
 
     def test_virtual_arity_mismatch_rejected(self, db):
         q = parse_query("Q(X) :- V(X, Y)")
         with pytest.raises(QueryError):
-            evaluate_query(q, db, virtual={"V": [(1,)]})
+            evaluate_query(q, db, virtual=store(1, [(1,)]))
+
+    @pytest.mark.parametrize("rows", [[], [(1, "a")]])
+    def test_view_arity_comes_from_its_head(self, db, rows):
+        # An empty view still has its head's arity: an atom of another
+        # arity is an error whether the view holds rows or not.
+        q = parse_query("Q(X) :- V(X, Y, Z)")
+        virtual = store(2, rows)
+        with pytest.raises(QueryError):
+            evaluate_query(q, db, virtual=virtual)
+        with pytest.raises(QueryError):
+            list(reference_bindings(q, db, virtual))
 
     def test_atom_arity_mismatch_rejected(self, db):
         q = parse_query("Q(X) :- R(X)")

@@ -8,16 +8,15 @@ import pytest
 from repro.cq.atoms import ComparisonAtom, RelationalAtom
 from repro.cq.canonical import canonical_key, canonicalize
 from repro.cq.evaluation import enumerate_bindings, reference_bindings
-from repro.cq.executor import IndexedVirtualRelations, execute_plan
+from repro.cq.executor import execute_plan
 from repro.cq.parser import parse_query
 from repro.cq.plan import QueryPlanner, plan_query
 from repro.cq.query import ConjunctiveQuery
 from repro.cq.terms import Constant, Variable
 from repro.errors import MixedTypeComparisonWarning, QueryError
-from repro.relational.database import Database
+from repro.relational.database import Database, view_store
 from repro.relational.expressions import ComparisonOp
 from repro.relational.schema import RelationSchema, Schema
-from repro.relational.statistics import Interval
 
 
 def _multiset(bindings):
@@ -627,7 +626,8 @@ class TestCompositePushdown:
 
     def test_composite_on_virtual_relation(self, skewed_db):
         rows = [(i, "hot" if i % 2 == 0 else "cold", i) for i in range(50)]
-        virtual = IndexedVirtualRelations({"V": rows})
+        virtual = view_store({"V": 3})
+        virtual.relation("V").insert_many(rows)
         q = parse_query('Q(A) :- V(A, Ty, K), Ty = "hot", K < 10')
         plan = plan_query(q, skewed_db, virtual)
         step = plan.steps[0]
@@ -742,8 +742,10 @@ class TestPlanErrors:
 
     def test_virtual_arity_mismatch_rejected(self, skewed_db):
         q = parse_query("Q(X) :- V(X, Y)")
+        virtual = view_store({"V": 1})
+        virtual.insert("V", 1)
         with pytest.raises(QueryError):
-            plan_query(q, skewed_db, {"V": [(1,)]})
+            plan_query(q, skewed_db, virtual)
 
     def test_comparison_variable_without_relational_atom_rejected(
         self, skewed_db
@@ -812,37 +814,54 @@ class TestPlanner:
     def test_virtual_size_change_invalidates_plan(self, skewed_db):
         planner = QueryPlanner(skewed_db)
         q = parse_query("Q(X, B) :- V(X), Big(X, B)")
-        planner.plan(q, {"V": [(1,)]})
-        planner.plan(q, {"V": [(1,), (2,)]})
+        virtual = view_store({"V": 1})
+        virtual.insert("V", 1)
+        planner.plan(q, virtual)
+        virtual.insert("V", 2)
+        planner.plan(q, virtual)
         assert planner.misses == 2
 
     def test_same_size_virtual_content_change_invalidates_plan(
         self, skewed_db
     ):
-        """Regression: fingerprints used to track virtual-relation *size*
-        only, so replacing a row (same size, new content) kept serving a
-        plan costed against dead statistics."""
+        """Regression: replacing a view's row (same size, new content)
+        must not keep serving a plan costed against dead statistics."""
         planner = QueryPlanner(skewed_db)
         q = parse_query("Q(X, B) :- V(X), Big(X, B)")
-        planner.plan(q, {"V": [(1,)]})
-        planner.plan(q, {"V": [(2,)]})  # same size, different row
+        virtual = view_store({"V": 1})
+        virtual.insert("V", 1)
+        planner.plan(q, virtual)
+        virtual.delete("V", 1)
+        virtual.insert("V", 2)  # same size, different row
+        planner.plan(q, virtual)
         assert planner.misses == 2 and planner.hits == 0
 
-    def test_identical_virtual_content_still_hits(self, skewed_db):
+    def test_view_write_replans_only_queries_over_that_view(
+        self, skewed_db
+    ):
+        planner = QueryPlanner(skewed_db)
+        over_v = parse_query("Q(X, B) :- V(X), Big(X, B)")
+        over_w = parse_query("Q(X, B) :- W(X), Big(X, B)")
+        virtual = view_store({"V": 1, "W": 1})
+        virtual.insert("V", 1)
+        virtual.insert("W", 1)
+        planner.plan(over_v, virtual)
+        planner.plan(over_w, virtual)
+        virtual.insert("V", 2)
+        planner.plan(over_w, virtual)
+        assert planner.hits == 1 and planner.misses == 2
+        planner.plan(over_v, virtual)
+        assert planner.hits == 1 and planner.misses == 3
+
+    def test_another_store_never_serves_the_plan(self, skewed_db):
         planner = QueryPlanner(skewed_db)
         q = parse_query("Q(X, B) :- V(X), Big(X, B)")
-        planner.plan(q, {"V": [(1,)]})
-        planner.plan(q, {"V": [(1,)]})
-        assert planner.hits == 1 and planner.misses == 1
-
-    def test_indexed_wrapper_caches_content_token(self, skewed_db):
-        from repro.cq.executor import IndexedVirtualRelations
-
-        virtual = IndexedVirtualRelations({"V": [(1,), (2,)]})
-        token = virtual.content_token("V")
-        assert virtual.content_token("V") is token
-        other = IndexedVirtualRelations({"V": [(1,), (2,)]})
-        assert other.content_token("V") == token
+        one, two = view_store({"V": 1}), view_store({"V": 1})
+        one.insert("V", 1)
+        two.insert("V", 1)
+        planner.plan(q, one)
+        planner.plan(q, two)  # equal versions, different extensions
+        assert planner.hits == 0 and planner.misses == 2
 
     def test_write_replans_only_queries_over_the_written_relation(
         self, skewed_db
@@ -952,52 +971,6 @@ class TestCanonicalize:
         assert set(renaming) == {Variable("A"), Variable("B"), Variable("C")}
         inverse = {canon: orig for orig, canon in renaming.items()}
         assert canonical.substitute(inverse).atoms == q.atoms
-
-
-class TestIndexedVirtualRelations:
-    def test_lookup_uses_index(self):
-        virtual = IndexedVirtualRelations({"V": [(1, 10), (2, 20), (1, 30)]})
-        assert sorted(virtual.lookup("V", (0,), (1,))) == [(1, 10), (1, 30)]
-        assert virtual.lookup("V", (0,), (9,)) == ()
-
-    def test_wrap_is_idempotent(self):
-        virtual = IndexedVirtualRelations({"V": [(1,)]})
-        assert IndexedVirtualRelations.wrap(virtual) is virtual
-        assert IndexedVirtualRelations.wrap(None) is None
-
-    def test_mapping_protocol(self):
-        virtual = IndexedVirtualRelations({"V": [(1,)], "W": []})
-        assert "V" in virtual and len(virtual) == 2
-        assert list(virtual["V"]) == [(1,)]
-
-    def test_arity_validated_once_then_cached(self):
-        virtual = IndexedVirtualRelations({"V": [(1, 2)]})
-        virtual.validate_arity("V", 2)
-        with pytest.raises(QueryError):
-            virtual.validate_arity("V", 3)
-
-    def test_statistics(self):
-        virtual = IndexedVirtualRelations({"V": [(1, 10), (2, 10)]})
-        stats = virtual.statistics_for("V", 2)
-        assert stats.cardinality == 2
-        assert stats.distinct(0) == 2
-        assert stats.distinct(1) == 1
-
-    def test_replace_drops_only_that_relations_state(self):
-        virtual = IndexedVirtualRelations({"V": [(1, 10)], "W": [(5,)]})
-        w_token = virtual.content_token("W")
-        w_stats = virtual.statistics_for("W", 1)
-        assert virtual.lookup("V", (0,), (2,)) == ()
-        assert virtual.range_lookup("V", 1, Interval(lo=0)) == [(1, 10)]
-        virtual.replace("V", [(1, 10), (2, 20)])
-        assert virtual.lookup("V", (0,), (2,)) == [(2, 20)]
-        assert virtual.range_lookup("V", 1, Interval(lo=15)) == [(2, 20)]
-        assert virtual.statistics_for("V", 2).cardinality == 2
-        assert virtual.content_token("V") == IndexedVirtualRelations(
-            {"V": [(1, 10), (2, 20)]}
-        ).content_token("V")
-        assert virtual.content_token("W") is w_token
-        assert virtual.statistics_for("W", 1) is w_stats
 
 
 class TestMixedTypeWarning:

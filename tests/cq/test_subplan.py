@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cq.evaluation import reference_bindings
-from repro.cq.executor import IndexedVirtualRelations, execute_plan
+from repro.cq.executor import execute_plan
 from repro.cq.parser import parse_query
 from repro.cq.plan import QueryPlanner, plan_query, prefix_keys
 from repro.cq.subplan import (
@@ -11,7 +11,7 @@ from repro.cq.subplan import (
     execute_plan_shared,
     explain_with_memo,
 )
-from repro.relational.database import Database
+from repro.relational.database import Database, view_store
 from repro.relational.schema import RelationSchema, Schema
 
 
@@ -222,27 +222,39 @@ class TestInvalidation:
     def test_virtual_content_change_invalidates(self):
         db = make_db()
         memo = SubplanMemo()
-        rows = {"V": [(i, i % 2) for i in range(6)]}
         query = parse_query("Q(A, C) :- V(A, B), S(B, C)")
-
-        virtual = IndexedVirtualRelations(rows)
+        virtual = view_store({"V": 2})
+        view = virtual.relation("V")
+        view.insert_many([(i, i % 2) for i in range(6)])
         plan = plan_query(query, db, virtual)
         reserve_all(memo, plan)
         list(execute_plan_shared(plan, db, virtual, memo=memo))
         assert memo.misses == 1
 
-        # Same sizes, different content: the fingerprint must change.
-        changed = IndexedVirtualRelations(
-            {"V": [(i + 50, i % 2) for i in range(6)]}
-        )
-        plan = plan_query(query, db, changed)
+        # Re-materialized with the same size, different content: the
+        # view's version must move.
+        view.clear()
+        view.insert_many([(i + 50, i % 2) for i in range(6)])
+        plan = plan_query(query, db, virtual)
         result = ordered(
-            execute_plan_shared(plan, db, changed, memo=memo)
+            execute_plan_shared(plan, db, virtual, memo=memo)
         )
         assert memo.hits == 0
         assert sorted(result) == sorted(
-            ordered(reference_bindings(query, db, changed))
+            ordered(reference_bindings(query, db, virtual))
         )
+
+    def test_write_elsewhere_keeps_stored_prefixes(self):
+        db = make_db()
+        memo = SubplanMemo()
+        plan = plan_query(parse_query(QUERY_T), db)
+        reserve_all(memo, plan)
+        list(execute_plan_shared(plan, db, memo=memo))
+        db.insert("U", 1, 2)  # U is read by no step of the plan
+        db.insert("T", 99, 1)  # T is read by the last step only
+        result = ordered(execute_plan_shared(plan, db, memo=memo))
+        assert memo.hits == 1 and memo.misses == 2
+        assert result == ordered(execute_plan(plan, db))
 
 
 class TestSubplanMemo:

@@ -18,7 +18,7 @@ from repro.cq.plan import QueryPlanner, plan_query, set_plan_verification
 from repro.cq.query import ConjunctiveQuery
 from repro.cq.terms import Constant, Variable
 from repro.cq.ucq import UnionQuery
-from repro.relational.database import Database
+from repro.relational.database import Database, view_store
 from repro.relational.expressions import ComparisonOp
 from repro.relational.schema import RelationSchema, Schema
 
@@ -101,12 +101,12 @@ def queries(draw, relations=tuple(sorted(ARITIES)), values=VALUES,
 
 @st.composite
 def virtual_relations(draw):
-    return {
-        name: draw(
+    virtual = view_store(VIRTUAL_ARITIES)
+    for name, arity in VIRTUAL_ARITIES.items():
+        virtual.relation(name).insert_many(draw(
             st.lists(st.tuples(*[VALUES] * arity), min_size=0, max_size=6)
-        )
-        for name, arity in VIRTUAL_ARITIES.items()
-    }
+        ))
+    return virtual
 
 
 @settings(max_examples=120, deadline=None)

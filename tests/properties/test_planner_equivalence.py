@@ -25,7 +25,7 @@ from repro.cq.evaluation import (
 from repro.cq.plan import QueryPlanner, plan_query
 from repro.cq.query import ConjunctiveQuery
 from repro.cq.terms import Constant, Variable
-from repro.relational.database import Database
+from repro.relational.database import Database, view_store
 from repro.relational.expressions import ComparisonOp
 from repro.relational.schema import RelationSchema, Schema
 
@@ -59,12 +59,12 @@ def databases(draw):
 
 @st.composite
 def virtual_relations(draw):
-    return {
-        name: draw(
+    virtual = view_store(VIRTUAL_ARITIES)
+    for name, arity in VIRTUAL_ARITIES.items():
+        virtual.relation(name).insert_many(draw(
             st.lists(st.tuples(*[VALUES] * arity), min_size=0, max_size=6)
-        )
-        for name, arity in VIRTUAL_ARITIES.items()
-    }
+        ))
+    return virtual
 
 
 @st.composite

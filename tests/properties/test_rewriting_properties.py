@@ -8,6 +8,7 @@ random databases with the views materialized.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.citation.generator import CitationEngine
 from repro.cq.evaluation import evaluate_query
 from repro.cq.parser import parse_query
 from repro.gtopdb.generator import GtopdbGenerator
@@ -46,7 +47,7 @@ class TestRewritingEquivalence:
     def test_rewritings_evaluate_identically(self, text, db):
         query = parse_query(text)
         expected = sorted(evaluate_query(query, db))
-        virtual = REGISTRY.materialize(db)
+        virtual = CitationEngine(db, REGISTRY).materialized_views()
         for rewriting in enumerate_rewritings(query, REGISTRY):
             got = sorted(
                 evaluate_query(rewriting.query, db, virtual=virtual)
@@ -84,7 +85,7 @@ class TestRandomWorkloadRewriting:
         generator = QueryGenerator(db.schema, db, seed=seed, max_atoms=2)
         query = generator.generate()
         expected = sorted(evaluate_query(query, db))
-        virtual = REGISTRY.materialize(db)
+        virtual = CitationEngine(db, REGISTRY).materialized_views()
         for rewriting in enumerate_rewritings(query, REGISTRY):
             got = sorted(
                 evaluate_query(rewriting.query, db, virtual=virtual)

@@ -9,13 +9,14 @@ from repro.errors import (
     TypeMismatchError,
     UnknownRelationError,
 )
-from repro.relational.database import Database
+from repro.relational.database import Database, view_store
 from repro.relational.schema import (
     Attribute,
     ForeignKey,
     RelationSchema,
     Schema,
 )
+from repro.relational.statistics import Interval
 from repro.relational.tuples import Row
 from repro.relational.types import STRING
 
@@ -117,7 +118,7 @@ class TestLookups:
         database.insert("Family", "2", "A")
         database.insert("Family", "3", "B")
         matches = database.relation("Family").lookup((1,), ("A",))
-        assert {r.values for r in matches} == {("1", "A"), ("2", "A")}
+        assert matches == [("1", "A"), ("2", "A")]
 
     def test_index_maintained_after_insert(self, database):
         instance = database.relation("Family")
@@ -131,11 +132,20 @@ class TestLookups:
         database.insert("Family", "1", "A")
         instance.lookup((1,), ("A",))
         database.delete("Family", "1", "A")
-        assert instance.lookup((1,), ("A",)) == []
+        assert instance.lookup((1,), ("A",)) == ()
 
     def test_empty_positions_returns_all(self, database):
         database.insert("Family", "1", "A")
         assert len(database.relation("Family").lookup((), ())) == 1
+
+    def test_scan_follows_insertion_order(self, database):
+        instance = database.relation("Family")
+        for fid in "123":
+            database.insert("Family", fid, "A")
+        assert instance.lookup((), ()) == [("1", "A"), ("2", "A"), ("3", "A")]
+        database.delete("Family", "1", "A")
+        database.insert("Family", "1", "A")  # a re-insert appends
+        assert instance.lookup((), ()) == [("2", "A"), ("3", "A"), ("1", "A")]
 
 
 class TestForeignKeys:
@@ -291,6 +301,74 @@ class TestRowChangeListeners:
         db.insert("Plain", 1, 2)
         db.delete("Plain", 1, 2)
         assert db.versions(["Keyed", "Plain"]) == (("Keyed", 0), ("Plain", 2))
+
+
+class TestClear:
+    def test_clear_empties_every_index(self, untyped_schema):
+        db = Database(untyped_schema)
+        keyed = db.relation("Keyed")
+        keyed.insert_many([(i, i % 2) for i in range(10)])
+        keyed.lookup((1,), (0,))
+        keyed.range_lookup(0, Interval(lo=3))
+        keyed.composite_lookup((1,), (0,), 0, Interval(lo=3))
+        keyed.clear()
+        assert len(keyed) == 0 and keyed.stats.cardinality == 0
+        assert keyed.lookup((1,), (0,)) == ()
+        assert keyed.lookup_key((0,)) is None
+        keyed.insert((0, 5))  # its old key is free again
+        assert keyed.lookup((), ()) == [(0, 5)]
+        assert keyed.range_lookup(0, Interval(lo=0)) == [(0, 5)]
+        assert keyed.composite_lookup((1,), (5,), 0, Interval()) == [(0, 5)]
+
+    def test_clear_moves_the_version_past_every_earlier_one(
+        self, untyped_schema
+    ):
+        db = Database(untyped_schema)
+        plain = db.relation("Plain")
+        plain.insert_many([(1, 2), (3, 4)])
+        seen = plain.stats.version
+        plain.clear()
+        assert plain.stats.version == seen + 2
+        assert db.stats_version == 4
+        plain.insert_many([(1, 2), (3, 4)])  # the same rows again
+        assert plain.stats.version > seen + 2
+        version = plain.stats.version
+        db.relation("Keyed").clear()  # nothing to remove: no change
+        plain.clear()
+        plain.clear()
+        assert plain.stats.version == version + 2
+
+    def test_clear_reports_one_bulk_change(self, untyped_schema):
+        db = Database(untyped_schema)
+        recorder = Recorder()
+        db.subscribe(recorder)
+        db.insert("Plain", 1, 2)
+        db.relation("Plain").clear()
+        db.relation("Plain").clear()
+        assert recorder.events == [
+            ("Plain", (1, 2), "inserted", None),
+            ("Plain", None, "bulk", None),
+        ]
+
+
+class TestViewStore:
+    def test_arity_from_the_map_untyped_and_keyless(self):
+        store = view_store({"V": 2, "W": 1})
+        assert [r.schema.name for r in store.relations()] == ["V", "W"]
+        assert store.relation("V").schema.arity == 2
+        store.insert("V", 1, "a")
+        store.insert("V", 1, 2.5)  # any hashable value, no key
+        with pytest.raises(ArityError):
+            store.insert("W", 1, 2)
+        with pytest.raises(TypeMismatchError):
+            store.insert("W", [1])  # unhashable
+
+    def test_writes_move_no_other_database(self, database):
+        store = view_store({"V": 1})
+        store.insert("V", 1)
+        store.relation("V").clear()
+        assert database.stats_version == 0
+        assert store.versions(["V", "Family"]) == (("V", 2),)
 
 
 class TestCopyBulk:

@@ -9,9 +9,14 @@ from repro.relational.statistics import (
     EquiDepthHistogram,
     Interval,
     RelationStatistics,
-    statistics_of,
 )
-from repro.relational.tuples import Row
+
+
+def statistics_of(rows, arity):
+    """Statistics of ``rows``, built the way a bulk load builds them."""
+    stats = RelationStatistics(arity)
+    stats.add_rows(rows)
+    return stats
 
 
 @pytest.fixture
@@ -251,7 +256,7 @@ class TestBatchInsert:
         instance = db.relation("R")
         instance.insert((0, 0))
         # Force a secondary index into existence, then bulk-load past it.
-        assert instance.lookup((1,), (0,)) == [Row("R", (0, 0))]
+        assert instance.lookup((1,), (0,)) == [(0, 0)]
         instance.insert_many([(i, 5) for i in range(1, 200)])
         assert len(instance.lookup((1,), (5,))) == 199
 
