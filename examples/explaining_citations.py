@@ -9,7 +9,8 @@ Three production concerns the core model leaves implicit:
    combines per-disjunct citations with ``+`` (Section 3.1).
 3. **Caching** (Section 4's "caching and materialization") — repository
    front-ends issue the same query shapes over and over; the rewriting
-   cache recognizes α-equivalent queries and pays the Def 2.2 search once.
+   cache keys a query on its template (constants lifted into slots) and
+   pays the Def 2.2 search once per shape.
 
 Run with::
 
@@ -56,11 +57,11 @@ def main() -> None:
         cached.cite(template.format(family_type))
     elapsed = time.perf_counter() - start
     stats = cached.rewriting_engine
-    print(f"  5 queries, {stats.misses} cache misses, "
-          f"{stats.hits} hits, {elapsed * 1000:.1f} ms total")
-    print("  (α-equivalent query shapes share one Def 2.2 enumeration; "
-          "distinct constants cache separately because absorbed "
-          "λ-values differ)")
+    print(f"  5 queries: cache misses {stats.misses}, "
+          f"hits {stats.hits}, {elapsed * 1000:.1f} ms total")
+    print("  (one Def 2.2 enumeration per query shape: a new constant "
+          "gets the shape's rewritings with its absorbed λ-value swapped "
+          "in)")
 
 
 if __name__ == "__main__":

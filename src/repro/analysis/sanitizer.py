@@ -56,6 +56,12 @@ replayed absorption
     ``best_polynomials`` or ``normal_form`` — raises when the replayed
     polynomials differ: a token shape that misses something the order
     reads is caught at the first tuple it decides wrongly.
+instantiated rewritings
+    :func:`check_rewriting_serve` — called by the rewriting cache on
+    every hit that swapped the caller's constants into its entry's
+    rewritings, with the query enumerated afresh — raises when the
+    lists differ: a template key that misses something Def 2.2 reads
+    from the constants is caught at the first query it serves wrongly.
 event-loop blocking
     While active, ``time.sleep`` and blocking ``socket`` operations
     raise when executed on a thread with a *running* asyncio event
@@ -479,6 +485,25 @@ def check_absorption_serve(label: str, served: Any, computed: Any) -> None:
             f"{label} replayed {served!r}, but the order keeps "
             f"{computed!r}; the token shape misses something the order "
             "reads",
+        )
+
+
+def check_rewriting_serve(label: str, served: Any, computed: Any) -> None:
+    """Re-validate rewritings served with swapped constants.
+
+    ``served`` is the list a rewriting-cache hit built by swapping the
+    caller's constants into its entry's rewritings, ``computed`` what a
+    fresh Def 2.2 enumeration returns for the same query.  Raises
+    unless both hold the same rewritings in the same order.
+    """
+    if not _active:
+        return
+    if served != computed:
+        raise ConcurrencySanitizerError(
+            "stale-cache",
+            f"{label} served {served!r}, but enumeration gives "
+            f"{computed!r}; the template key misses something the "
+            "rewriting reads from the constants",
         )
 
 

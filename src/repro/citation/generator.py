@@ -299,7 +299,8 @@ class CitationEngine:
         Passed to the :class:`~repro.rewriting.engine.RewritingEngine`,
         which every query reaches through a
         :class:`~repro.citation.cache.CachedRewritingEngine` (Def 2.2
-        enumeration memoized per α-equivalence class).
+        enumeration memoized per query template: a new constant gets
+        its template's rewritings with the constant swapped in).
 
     Plan verification and the concurrency sanitizer are process-wide
     switches (:func:`~repro.cq.plan.set_plan_verification` /
@@ -857,8 +858,10 @@ class CitationEngine:
         Repeated or template-shaped traffic pays each expensive step
         once —
 
-        - rewriting enumeration is memoized per α-equivalence class
-          (:attr:`rewriting_engine`, so a follow-up batch starts warm);
+        - rewriting enumeration is memoized per query template, with
+          constants lifted into slots (:attr:`rewriting_engine`, so a
+          follow-up batch, or the same shape with a new constant,
+          starts warm);
         - query plans are shared through :attr:`planner`;
         - views are materialized once, into the engine's view store,
           whose indexes serve every later query;

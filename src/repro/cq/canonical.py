@@ -4,22 +4,24 @@ Two queries that differ only in variable names describe the same
 computation: they share rewritings (modulo renaming) and — because cost
 estimation only looks at structure and statistics — the same query plan.
 This module provides the renaming-invariant *canonical key* used by the
-rewriting cache (:mod:`repro.citation.cache`) and the plan cache
-(:class:`repro.cq.plan.QueryPlanner`), plus :func:`canonicalize`, which
-produces an actual canonical query together with the renaming, so cached
-artifacts built for the canonical form can be mapped back to the caller's
-variables.
+plan cache (:class:`repro.cq.plan.QueryPlanner`), its constant-lifting
+twin :func:`template_structure`, on which the rewriting cache
+(:mod:`repro.citation.cache`) builds its keys, plus :func:`canonicalize`,
+which produces an actual canonical query together with the renaming, so
+cached artifacts built for the canonical form can be mapped back to the
+caller's variables.
 """
 
 from __future__ import annotations
 
 from repro.cq.atoms import RelationalAtom
 from repro.cq.query import ConjunctiveQuery
-from repro.cq.terms import Term, Variable
+from repro.cq.terms import Constant, Term, Variable
 
 
 def _canonical_parts(
     query: ConjunctiveQuery,
+    slots: dict[str, tuple[str, Constant]] | None = None,
 ) -> tuple[dict[Variable, Variable], list[str]]:
     """The canonical renaming and the key parts, in one traversal.
 
@@ -27,16 +29,26 @@ def _canonical_parts(
     across the head, the atoms (in order), and the comparisons (sorted by
     their canonical repr after renaming is deterministic enough for our
     construction order).  λ-parameters, when present, form a last part
-    (in order): binding a variable makes a different query.
+    (in order): binding a variable makes a different query.  Constants
+    are written by value, unless ``slots`` is given: then each distinct
+    constant text is lifted into a slot ``$0, $1, ...``, numbered by
+    first occurrence and recorded in ``slots`` (text -> slot, constant).
     """
     renaming: dict[Variable, Variable] = {}
 
-    def canon(term: object) -> str:
+    def canon(term: Term) -> str:
         if isinstance(term, Variable):
-            if term not in renaming:
-                renaming[term] = Variable(f"v{len(renaming)}")
-            return renaming[term].name
-        return repr(term)
+            canonical = renaming.get(term)
+            if canonical is None:
+                canonical = renaming[term] = Variable(f"v{len(renaming)}")
+            return canonical.name
+        text = repr(term)
+        if slots is None or not isinstance(term, Constant):
+            return text
+        slot = slots.get(text)
+        if slot is None:
+            slot = slots[text] = (f"${len(slots)}", term)
+        return slot[0]
 
     parts = ["H:" + ",".join(canon(t) for t in query.head)]
     for atom in query.atoms:
@@ -65,6 +77,22 @@ def canonical_key(query: ConjunctiveQuery) -> str:
     """
     __, parts = _canonical_parts(query)
     return "|".join(parts)
+
+
+def template_structure(
+    query: ConjunctiveQuery,
+) -> tuple[str, tuple[Constant, ...]]:
+    """The canonical key with constants lifted into slots, and the
+    constants in slot order.
+
+    Queries that differ only in the values of their constants share the
+    key; the slots keep the equality pattern among the constants' texts
+    (``$0`` twice is the same constant twice; ``0.0`` and ``-0.0``,
+    equal constants that print apart, take two slots).
+    """
+    slots: dict[str, tuple[str, Constant]] = {}
+    __, parts = _canonical_parts(query, slots)
+    return "|".join(parts), tuple(constant for __, constant in slots.values())
 
 
 def canonical_key_and_renaming(

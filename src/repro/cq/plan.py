@@ -35,8 +35,8 @@ short-circuit to an empty plan without touching data.
 
 Plans for α-equivalent queries are shared: :class:`QueryPlanner` caches
 the plan of the *canonical* query (see :mod:`repro.cq.canonical`) and
-rebinds it to each caller's variables, keyed by the same canonical key
-the rewriting cache uses.
+rebinds it to each caller's variables, keyed by the canonical key with
+constants by value (the cost model reads each constant's frequency).
 
 Rewritings read views as well as base relations.  A citation engine
 keeps its materialized views in a store of their own

@@ -56,14 +56,16 @@ class ConjunctiveQuery:
         self.atoms: tuple[RelationalAtom, ...] = tuple(atoms)
         self.comparisons: tuple[ComparisonAtom, ...] = tuple(comparisons)
         self.parameters: tuple[Variable, ...] = tuple(parameters)
-        if len(set(self.parameters)) != len(self.parameters):
-            raise ParameterError(f"duplicate λ-parameters in {name}")
-        body_vars = set(self.body_variables())
-        for param in self.parameters:
-            if param not in body_vars:
-                raise ParameterError(
-                    f"λ-parameter {param!r} does not occur in the body of {name}"
-                )
+        if self.parameters:
+            if len(set(self.parameters)) != len(self.parameters):
+                raise ParameterError(f"duplicate λ-parameters in {name}")
+            body_vars = set(self.body_variables())
+            for param in self.parameters:
+                if param not in body_vars:
+                    raise ParameterError(
+                        f"λ-parameter {param!r} does not occur in the body "
+                        f"of {name}"
+                    )
         self._hash = hash(
             (self.name, self.head, self.atoms, frozenset(self.comparisons),
              self.parameters)

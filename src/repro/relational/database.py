@@ -28,7 +28,7 @@ from repro.errors import (
 from repro.relational.schema import RelationSchema, Schema
 from repro.relational.statistics import Interval, RelationStatistics
 from repro.relational.tuples import Row
-from repro.relational.types import check_value, value_matches
+from repro.relational.types import check_value, domain_checker
 
 #: Phases of a row change, as :meth:`Database.subscribe` listeners see
 #: them: after an insert lands, before and after a delete removes its
@@ -169,6 +169,10 @@ class RelationInstance:
         self._key_positions = (
             tuple(schema.key_positions()) if schema.key else None
         )
+        #: Each column's domain membership test, resolved once.
+        self._checkers = tuple(
+            domain_checker(attr.domain) for attr in schema.attributes
+        )
         #: The rows as dict keys, in insertion order (deletes remove, a
         #: re-insert appends): binding order, and with it the planned ≡
         #: reference order property, follows this order.
@@ -205,11 +209,15 @@ class RelationInstance:
         """Arity- and domain-check ``values``, returning the Row."""
         if len(values) != self.schema.arity:
             raise ArityError(self.schema.name, self.schema.arity, len(values))
-        for attr, value in zip(self.schema.attributes, values):
-            if not value_matches(value, attr.domain):
-                check_value(
-                    value, attr.domain, f"{self.schema.name}.{attr.name}"
-                )
+        for check, value in zip(self._checkers, values):
+            if not check(value):
+                # check_value raises, with the message, at the first
+                # column outside its domain.
+                for attr, column_value in zip(self.schema.attributes, values):
+                    check_value(
+                        column_value, attr.domain,
+                        f"{self.schema.name}.{attr.name}",
+                    )
         return Row(self.schema.name, values)
 
     def insert(self, values: Sequence[Any], enforce_key: bool = True) -> Row:

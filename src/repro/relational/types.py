@@ -8,6 +8,7 @@ minimal: ``INT``, ``FLOAT``, ``STRING``, ``BOOL``, and the top type ``ANY``.
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable
 from typing import Any
 
 from repro.errors import TypeMismatchError
@@ -51,6 +52,12 @@ _CHECKERS = {
     AttributeType.BOOL: lambda v: isinstance(v, bool),
     AttributeType.ANY: _hashable,
 }
+
+
+def domain_checker(domain: AttributeType) -> Callable[[Any], bool]:
+    """The membership test of ``domain``: resolve it once per column,
+    then call it per value."""
+    return _CHECKERS[domain]
 
 
 def value_matches(value: Any, domain: AttributeType) -> bool:

@@ -27,7 +27,6 @@ from repro.cq.minimization import minimize
 from repro.cq.query import ConjunctiveQuery
 from repro.errors import RewritingError
 from repro.rewriting.descriptors import CoverageDescriptor, descriptors_for
-from repro.rewriting.expansion import expand_query
 from repro.rewriting.rewriting import Rewriting, ViewApplication
 from repro.rewriting.validity import (
     has_removable_subgoal,
@@ -190,7 +189,6 @@ class RewritingEngine:
                 query, chosen, uncovered, descriptors
             ):
                 return None
-        expansion = expand_query(candidate, self.registry)
         applications = tuple(
             ViewApplication(
                 descriptor.view, descriptor.view_atom,
@@ -199,7 +197,7 @@ class RewritingEngine:
             for descriptor in chosen
         )
         uncovered_atoms = tuple(query.atoms[i] for i in uncovered)
-        return Rewriting(candidate, applications, uncovered_atoms, expansion)
+        return Rewriting(candidate, applications, uncovered_atoms)
 
     def _coverage_extendable(
         self,

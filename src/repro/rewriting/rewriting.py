@@ -8,15 +8,73 @@ total vs partial, number of views, residual (non-absorbed) comparisons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.cq.atoms import RelationalAtom
+from repro.cq.atoms import ComparisonAtom, RelationalAtom
 from repro.cq.query import ConjunctiveQuery
 from repro.cq.terms import Constant, Term
 
 if TYPE_CHECKING:
     from repro.views.citation_view import CitationView
+
+#: A replacement of constants, keyed by text: a constant that prints as
+#: a key becomes the key's value.  By text, so ``0.0`` and ``-0.0``
+#: (equal constants that print apart) are replaced apart.
+ConstantSwap = Mapping[str, Constant]
+
+
+def _swap_term(term: Term, swap: ConstantSwap) -> Term:
+    if isinstance(term, Constant):
+        return swap.get(repr(term), term)
+    return term
+
+
+def _swap_terms(
+    terms: tuple[Term, ...], swap: ConstantSwap
+) -> tuple[Term, ...]:
+    """``terms`` with swapped constants (``terms`` itself if none is)."""
+    swapped = None
+    for position, term in enumerate(terms):
+        if isinstance(term, Constant):
+            replacement = swap.get(repr(term))
+            if replacement is not None:
+                if swapped is None:
+                    swapped = list(terms)
+                swapped[position] = replacement
+    return terms if swapped is None else tuple(swapped)
+
+
+def _swap_atom(atom: RelationalAtom, swap: ConstantSwap) -> RelationalAtom:
+    terms = _swap_terms(atom.terms, swap)
+    if terms is atom.terms:
+        return atom
+    return RelationalAtom(atom.relation, terms)
+
+
+def swap_constants(
+    query: ConjunctiveQuery, swap: ConstantSwap
+) -> ConjunctiveQuery:
+    """``query`` with every constant in ``swap`` replaced.
+
+    Only the atoms that hold a swapped constant are rebuilt; the others
+    are shared with ``query``.
+    """
+    comparisons = []
+    for comparison in query.comparisons:
+        left = _swap_term(comparison.left, swap)
+        right = _swap_term(comparison.right, swap)
+        if left is not comparison.left or right is not comparison.right:
+            comparison = ComparisonAtom(left, comparison.op, right)
+        comparisons.append(comparison)
+    return ConjunctiveQuery(
+        query.name,
+        _swap_terms(query.head, swap),
+        [_swap_atom(atom, swap) for atom in query.atoms],
+        comparisons,
+        query.parameters,
+    )
 
 
 @dataclass(frozen=True)
@@ -61,8 +119,6 @@ class Rewriting:
     applications: tuple[ViewApplication, ...]
     #: Base atoms left uncovered (empty for total rewritings).
     uncovered_atoms: tuple[RelationalAtom, ...]
-    #: The expansion (views unfolded), cached for reuse.
-    expansion: ConjunctiveQuery = field(compare=False)
 
     # -- classification (Section 2.2 / 2.3) ------------------------------------
 
@@ -117,6 +173,38 @@ class Rewriting:
         one citation for the whole result set.
         """
         return all(a.is_fully_instantiated for a in self.applications)
+
+    def with_constants(self, swap: ConstantSwap) -> "Rewriting":
+        """This rewriting with every constant in ``swap`` replaced.
+
+        Example 2.2's absorption makes a query's rewritings depend on
+        its constants only through how they compare, so the rewritings
+        of ``Ty = "vgic"`` are those of ``Ty = "gpcr"`` with the
+        constant swapped
+        (:class:`~repro.citation.cache.CachedRewritingEngine`).
+        The applications and uncovered atoms share the new query's atoms.
+        """
+        query = swap_constants(self.query, swap)
+        swapped = {
+            id(old): new for old, new in zip(self.query.atoms, query.atoms)
+        }
+
+        def atom(old: RelationalAtom) -> RelationalAtom:
+            new = swapped.get(id(old))
+            return _swap_atom(old, swap) if new is None else new
+
+        return Rewriting(
+            query,
+            tuple(
+                ViewApplication(
+                    application.view,
+                    atom(application.atom),
+                    _swap_terms(application.parameter_terms, swap),
+                )
+                for application in self.applications
+            ),
+            tuple(atom(old) for old in self.uncovered_atoms),
+        )
 
     def sort_key(self) -> tuple:
         """Deterministic preference-flavoured ordering for display.

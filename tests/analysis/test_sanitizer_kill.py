@@ -28,6 +28,7 @@ from repro.gtopdb.views import paper_views
 from repro.relational.database import Database
 from repro.semiring.polynomial import ProvenanceMonomial, ProvenancePolynomial
 from repro.service.batcher import EngineLane
+from repro.views.citation_view import CitationView
 from repro.views.registry import ViewRegistry
 
 
@@ -266,6 +267,53 @@ class TestReplayedAbsorption:
         # Control: unchecked, tuple b silently loses C[V1(13)].
         result = crafted.cite(QUERY)
         assert repr(result.tuples[("b",)].polynomial) == "C[V1('11')]"
+
+
+class TestInstantiatedRewriting:
+    """Kill: a template key without the registry-order facts.
+
+    The registry holds a view whose body names ``"gpcr"``; a gpcr query
+    rewrites through it, a vgic query of the same shape cannot.  With
+    the facts dropped both share one entry, so the vgic query is served
+    the gpcr rewriting with the constant swapped in.
+    """
+
+    TEXTS = [
+        'Q(N) :- Family(F, N, Ty), Ty = "gpcr"',
+        'Q(N) :- Family(F, N, Ty), Ty = "vgic"',
+        'Q(N) :- Family(F, N, Ty), Ty = "lgic"',
+    ]
+
+    @pytest.fixture
+    def rewriter(self):
+        db = paper_database()
+        registry = ViewRegistry(db.schema, paper_views() + [
+            CitationView.from_strings(
+                view='G(F, N) :- Family(F, N, "gpcr")',
+                citation_query='CG(F, N) :- Family(F, N, "gpcr")',
+            ),
+        ])
+        return CitationEngine(db, registry).rewriting_engine
+
+    def test_dropped_registry_order_is_caught(
+        self, active, rewriter, monkeypatch
+    ):
+        # BUG: the key forgets how constants order against "gpcr".
+        monkeypatch.setattr(rewriter, "registry_constants", ())
+        with pytest.raises(ConcurrencySanitizerError) as err:
+            for text in self.TEXTS:
+                rewriter.rewrite(parse_query(text))
+        assert err.value.check == "stale-cache", (
+            "the sanitizer FAILED to catch rewritings served for a "
+            "template key that misses the registry's constants"
+        )
+
+    def test_same_traffic_stays_quiet_with_the_facts(
+        self, active, rewriter
+    ):
+        for text in self.TEXTS:
+            rewriter.rewrite(parse_query(text))
+        assert rewriter.hits == 1  # lgic: served from vgic's entry
 
 
 class TestEventLoopBlocking:
