@@ -4,7 +4,9 @@ Three production concerns the core model leaves implicit:
 
 1. **Explanations** — a curator asks "why is this committee credited?";
    :func:`repro.citation.explain` answers with the rewritings found,
-   which survived the preference order, and what each tuple credits.
+   which survived the preference order (and which count absorbed each
+   of the others, e.g. ``fewest views: 2 against 1``), and what each
+   tuple credits.
 2. **Union queries** — users ask for "gpcr or vgic families"; SPJU's U
    combines per-disjunct citations with ``+`` (Section 3.1).
 3. **Caching** (Section 4's "caching and materialization") — repository

@@ -56,6 +56,14 @@ replayed absorption
     ``best_polynomials`` or ``normal_form`` — raises when the replayed
     polynomials differ: a token shape that misses something the order
     reads is caught at the first tuple it decides wrongly.
+pruned rewritings
+    :func:`check_pruned_citation` — called by the citation engine for
+    every query whose order let it skip rewritings, with the query
+    cited again through every rewriting — raises when the tuple order,
+    a tuple's combined polynomial or the aggregate differ: a rank that
+    misses something the order reads, or skipped rewritings that are
+    not equivalent to the query, are caught at the first query they
+    change.
 instantiated rewritings
     :func:`check_rewriting_serve` — called by the rewriting cache on
     every hit that swapped the caller's constants into its entry's
@@ -82,6 +90,7 @@ import traceback
 import weakref
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
+from itertools import zip_longest
 from typing import Any
 
 from repro.errors import ReproError
@@ -98,7 +107,7 @@ class ConcurrencySanitizerError(ReproError):
     check:
         Short name of the violated check (``lane-ownership``,
         ``stale-cache``, ``version-integrity``, ``execution-affinity``,
-        ``event-loop-blocking``).
+        ``pruned-rewritings``, ``event-loop-blocking``).
     context_stack:
         The captured stack of where the violated context was
         established (owner bound, region entered), when one exists.
@@ -486,6 +495,31 @@ def check_absorption_serve(label: str, served: Any, computed: Any) -> None:
             f"{computed!r}; the token shape misses something the order "
             "reads",
         )
+
+
+def check_pruned_citation(
+    label: str, served: list[Any], computed: list[Any]
+) -> None:
+    """Re-validate a citation that skipped rewritings.
+
+    ``served`` lists what the citation gives — ``(output, combined
+    polynomial)`` per tuple, in order, then ``("aggregate",
+    polynomial)`` — and ``computed`` the same for the query cited
+    through every rewriting.  Raises at the first entry that differs.
+    """
+    if not _active:
+        return
+    for index, (got, expected) in enumerate(
+        zip_longest(served, computed)
+    ):
+        if got != expected:
+            raise ConcurrencySanitizerError(
+                "pruned-rewritings",
+                f"{label}: entry {index} is {got!r}, but citing through "
+                f"every rewriting gives {expected!r}; the rank misses "
+                "something the order reads, or a skipped rewriting is "
+                "not equivalent to the query",
+            )
 
 
 def check_rewriting_serve(label: str, served: Any, computed: Any) -> None:

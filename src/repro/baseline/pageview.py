@@ -81,10 +81,6 @@ class PageViewBaseline:
             self.register_page(view_name, valuation)
         return len(valuations)
 
-    @property
-    def page_count(self) -> int:
-        return len(self._pages)
-
     # -- citation ------------------------------------------------------------
 
     def cite(self, query: ConjunctiveQuery) -> dict | None:

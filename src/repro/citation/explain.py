@@ -10,14 +10,20 @@ structured, renderable account:
 - per output tuple, which monomials survived and which views (with which
   λ-valuations) they credit;
 - when an order-based policy dropped alternatives, which rewritings were
-  absorbed and by which preference criterion.
+  absorbed and by which preference criterion: a rewriting the citation
+  skipped names the ranked level that decided it and both counts
+  (:attr:`~repro.citation.generator.CitationResult.pruned`).
+
+An explanation reads the result's tuples and combined polynomials only,
+never :attr:`~repro.citation.generator.TupleCitation.per_rewriting`, so
+it evaluates no skipped rewriting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.citation.generator import CitationResult
+from repro.citation.generator import CitationResult, PrunedRewriting
 from repro.citation.polynomial import base_tokens, view_tokens
 from repro.rewriting.rewriting import Rewriting
 
@@ -28,6 +34,8 @@ class RewritingExplanation:
 
     rewriting: Rewriting
     used: bool  # did any of its monomials survive +R for some tuple?
+    #: Why the citation skipped it, when it did.
+    pruned: PrunedRewriting | None = None
 
     def describe(self) -> str:
         kind = "total" if self.rewriting.is_total else "partial"
@@ -51,6 +59,8 @@ class RewritingExplanation:
                 "accessed directly"
             )
         status = "USED" if self.used else "absorbed by preference order"
+        if self.pruned is not None:
+            status += f" ({self.pruned})"
         return f"[{status}] {self.rewriting.query!r} — {', '.join(bits)}"
 
 
@@ -118,15 +128,16 @@ def explain(result: CitationResult) -> Explanation:
     """Build a structured explanation of a citation result."""
     surviving_views = _views_surviving(result)
     rewriting_explanations = []
-    for rewriting in result.rewritings:
+    for position, rewriting in enumerate(result.rewritings):
+        pruned = result.pruned.get(position)
         declared = {a.view.name for a in rewriting.applications}
-        used = (
+        used = pruned is None and (
             bool(declared & surviving_views)
             if declared
             else bool(result.tuples)  # identity rewriting w/ C_R tokens
         )
         rewriting_explanations.append(
-            RewritingExplanation(rewriting, used)
+            RewritingExplanation(rewriting, used, pruned)
         )
 
     tuple_explanations = []

@@ -3,10 +3,17 @@
 The :class:`CitationEngine` pipeline:
 
 1. enumerate the rewritings of the query over the registry (Section 2.2);
-2. evaluate each rewriting (views materialized into the engine's view
-   store) and build, per output tuple and per binding, the
-   ``·``-monomial of view citation tokens and ``C_R`` tokens (Def 3.1);
-3. sum monomials over bindings into a per-rewriting polynomial (Def 3.2);
+2. skip the rewritings Section 3.4 absorbs for every output tuple,
+   before any is planned: when the policy's order ranks rewritings
+   (:meth:`~repro.citation.order.MonomialOrder.rewriting_rank`) and the
+   rewritings are validated, only those of the best rank go on
+   (:meth:`CitationEngine._pruned`);
+3. evaluate each remaining rewriting (views materialized into the
+   engine's view store) and build, per output tuple and per binding,
+   the ``·``-monomial of view citation tokens and ``C_R`` tokens
+   (Def 3.1), summed over bindings into a per-rewriting polynomial
+   (Def 3.2); a skipped rewriting's polynomials are computed when
+   :attr:`TupleCitation.per_rewriting` is first read;
 4. combine the per-rewriting polynomials with ``+R`` (Def 3.3) — union
    (the formal, plan-independent semantics) or order-based absorption
    ("best", Section 3.4) according to the policy; an order that
@@ -36,8 +43,8 @@ cached records (:meth:`CitationEngine.rows_changed`).
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
-from typing import Any
+from dataclasses import dataclass, field
+from typing import Any, NamedTuple
 
 from repro.analysis import sanitizer as _sanitizer
 from repro.citation.cache import CachedRewritingEngine
@@ -69,6 +76,7 @@ from repro.cq.sql_parser import parse_sql
 from repro.cq.subplan import SubplanMemo, reserve_shared_prefixes
 from repro.cq.terms import Constant, Variable
 from repro.cq.ucq import UnionQuery, parse_datalog
+from repro.errors import StaleResultError
 from repro.relational.database import (
     BULK,
     DELETED,
@@ -95,11 +103,78 @@ MAX_MAINTAINED_ROWS = 64
 #: contributes it.  Polynomials are immutable, so one instance serves.
 _ZERO = ProvenancePolynomial.zero()
 #: Per output tuple, in first-output order: the per-rewriting
-#: polynomials (aligned with the rewritings) and their ``+R``
-#: combination (Defs 3.2–3.3).
+#: polynomials (aligned with the rewritings, None where the rewriting
+#: was skipped) and their ``+R`` combination (Defs 3.2–3.3).
 TuplePolynomials = dict[
-    tuple[Any, ...], tuple[tuple[CitationPolynomial, ...], CitationPolynomial]
+    tuple[Any, ...],
+    tuple[tuple[CitationPolynomial | None, ...], CitationPolynomial],
 ]
+
+
+class PrunedRewriting(NamedTuple):
+    """Why a citation skipped a rewriting: at the order's ranked level
+    ``level``, each of its monomials counts ``count`` against the kept
+    rewritings' ``kept_count``, so Section 3.4 absorbs it for every
+    output tuple."""
+
+    level: str
+    count: int
+    kept_count: int
+
+    def __str__(self) -> str:
+        return f"{self.level}: {self.count} against {self.kept_count}"
+
+
+class _Disjunct(NamedTuple):
+    """One disjunct of a batch, rewritten and planned by
+    :meth:`CitationEngine._group_batch`."""
+
+    #: Every Def 2.2 rewriting, in enumeration order.
+    rewritings: tuple[Rewriting, ...]
+    #: The positions Defs 3.1–3.2 run for, ascending.
+    kept: tuple[int, ...]
+    #: The plans of the kept rewritings, aligned with ``kept``; None
+    #: plans through the planner when evaluated.
+    plans: tuple[QueryPlan | None, ...]
+    #: The skipped positions, each with why it was skipped.
+    pruned: dict[int, PrunedRewriting]
+
+
+class _SkippedRewritings:
+    """Def 3.2 for the rewritings one citation skipped, on first read.
+
+    Every tuple of the citation shares one instance, so the skipped
+    rewritings are evaluated once, when the first tuple's
+    :attr:`TupleCitation.per_rewriting` is read, and only while the
+    database is at the version the citation was made at.
+    """
+
+    def __init__(
+        self, engine: CitationEngine, rewritings: dict[int, Rewriting]
+    ) -> None:
+        self._engine = engine
+        self._rewritings = rewritings
+        self._version = engine.db.stats_version
+        self._polynomials: dict[
+            int, dict[tuple[Any, ...], CitationPolynomial]
+        ] | None = None
+
+    def polynomial(
+        self, position: int, output: tuple[Any, ...]
+    ) -> CitationPolynomial:
+        if self._polynomials is None:
+            live = self._engine.db.stats_version
+            if live != self._version:
+                raise StaleResultError(
+                    f"per_rewriting read at stats_version {live}, but the "
+                    f"citation was made at {self._version}: the rewritings "
+                    "it skipped can no longer be evaluated on its data"
+                )
+            self._polynomials = {
+                index: self._engine._rewriting_polynomials(rewriting)
+                for index, rewriting in self._rewritings.items()
+            }
+        return self._polynomials[position].get(output, _ZERO)
 
 
 @dataclass
@@ -113,7 +188,11 @@ class TupleCitation:
     per_rewriting:
         One citation polynomial per rewriting (aligned with
         :attr:`CitationResult.rewritings`); the paper's
-        ``cite(t, Q, Q', V)``.
+        ``cite(t, Q, Q', V)``.  The citation evaluates only the
+        rewritings it keeps; the polynomials of those it skipped
+        (:attr:`CitationResult.pruned`) are computed on first read, as
+        of the data the citation was made from.  A first read after the
+        database changed raises :class:`~repro.errors.StaleResultError`.
     polynomial:
         The combined citation after ``+R`` — ``cite(t, Q, V)``.
     records:
@@ -125,9 +204,28 @@ class TupleCitation:
     """
 
     output: tuple[Any, ...]
-    per_rewriting: tuple[CitationPolynomial, ...]
+    #: :attr:`per_rewriting`, with None at each skipped position until
+    #: the first read.
+    _per_rewriting: tuple[CitationPolynomial | None, ...] = field(
+        repr=False, compare=False
+    )
     polynomial: CitationPolynomial
     records: list[Record]
+    _skipped: _SkippedRewritings | None = field(
+        default=None, repr=False, compare=False
+    )
+
+    @property
+    def per_rewriting(self) -> tuple[CitationPolynomial, ...]:
+        skipped = self._skipped
+        if skipped is not None:
+            self._per_rewriting = tuple(
+                skipped.polynomial(position, self.output)
+                if polynomial is None else polynomial
+                for position, polynomial in enumerate(self._per_rewriting)
+            )
+            self._skipped = None
+        return self._per_rewriting  # type: ignore[return-value]
 
 
 @dataclass
@@ -137,6 +235,15 @@ class CitationResult:
     ``query`` is the query as submitted (Datalog text parsed): a
     conjunctive query, or a whole union (every rule, including those
     minimization removed before citing).
+
+    ``rewritings`` lists every rewriting of every cited disjunct, and
+    ``pruned`` maps the positions among them that Section 3.4 absorbs
+    for every output tuple, which the citation never evaluated
+    (:meth:`CitationEngine._pruned`), to the ranked level that decided
+    each.  Their :attr:`TupleCitation.per_rewriting` entries are
+    computed on first read, and raise
+    :class:`~repro.errors.StaleResultError` once the database has
+    changed.
 
     ``records`` and ``database_citation`` (like each tuple's records)
     are the caller's: they share no dict or list with the engine's
@@ -152,6 +259,7 @@ class CitationResult:
     aggregate_polynomial: CitationPolynomial
     records: list[Record]
     database_citation: list[Record]
+    pruned: dict[int, PrunedRewriting] = field(default_factory=dict)
 
     @property
     def output_tuples(self) -> list[tuple[Any, ...]]:
@@ -597,20 +705,30 @@ class CitationEngine:
             tokens.append(BaseRelationToken(atom.relation))
         return ProvenanceMonomial(tokens)
 
-    def _rewriting_polynomials(
-        self, rewriting: Rewriting, plan: QueryPlan
-    ) -> dict[tuple[Any, ...], CitationPolynomial]:
-        """Def 3.2: per-tuple polynomials for one rewriting."""
+    def _bindings(
+        self, rewriting: Rewriting, plan: QueryPlan | None
+    ) -> dict[tuple[Any, ...], list[dict]]:
+        """The rewriting's bindings grouped by output tuple, in
+        first-derivation order (``plan`` None: through the planner)."""
         memo = self.subplan_memo
-        grouped = evaluate_with_bindings(
+        virtual = self._materialized()
+        if plan is None:
+            plan = self.planner.plan(rewriting.query, virtual)
+        return evaluate_with_bindings(
             rewriting.query,
             self.db,
-            virtual=self._materialized(),
+            virtual=virtual,
             plan=plan,
             # A memo that neither holds nor wants anything is skipped:
             # the executor then computes no prefix keys at all.
             memo=memo if memo.worth_checking else None,
         )
+
+    def _rewriting_polynomials(
+        self, rewriting: Rewriting, plan: QueryPlan | None = None
+    ) -> dict[tuple[Any, ...], CitationPolynomial]:
+        """Def 3.2: per-tuple polynomials for one rewriting."""
+        grouped = self._bindings(rewriting, plan)
         result: dict[tuple[Any, ...], CitationPolynomial] = {}
         for output, bindings in grouped.items():
             terms: dict[CitationMonomial, int] = {}
@@ -712,32 +830,43 @@ class CitationEngine:
             combined = combined.add(polynomial)
         return combined
 
-    def _tuple_polynomials(
-        self,
-        rewritings: tuple[Rewriting, ...],
-        plans: Sequence[QueryPlan],
-    ) -> TuplePolynomials:
+    def _tuple_polynomials(self, disjunct: _Disjunct) -> TuplePolynomials:
         """Defs 3.1–3.3 for every output tuple of one conjunctive query.
 
-        ``plans`` is aligned with ``rewritings``: :meth:`_group_batch`
-        plans while reserving shared prefixes and passes the plans
-        through, so nothing is planned (or counted) twice.
+        Only the kept rewritings are evaluated, with the plans
+        :meth:`_group_batch` made while reserving shared prefixes, so
+        nothing is planned (or counted) twice.  The tuples come in
+        rewriting 0's first-derivation order, then each later
+        rewriting's new ones.  When rewriting 0 was skipped, its
+        equivalent kept rewritings derive the same tuples (Def 2.2), so
+        its plan is evaluated for their order alone, and only when there
+        are two or more.
         """
-        per_rewriting = [
-            self._rewriting_polynomials(rewriting, plan)
-            for rewriting, plan in zip(rewritings, plans)
+        rewritings, kept, plans, __ = disjunct
+        evaluated = [
+            self._rewriting_polynomials(rewritings[position], plan)
+            for position, plan in zip(kept, plans)
         ]
+        sources: list[dict[tuple[Any, ...], Any]] = evaluated
+        if kept and kept[0] and len(evaluated[0]) > 1:
+            sources = [self._bindings(rewritings[0], None), *evaluated]
         outputs: dict[tuple[Any, ...], None] = {}
-        for polynomials in per_rewriting:
-            for output in polynomials:
+        for source in sources:
+            for output in source:
                 outputs.setdefault(output)
         result: TuplePolynomials = {}
         for output in outputs:
-            aligned = tuple(
-                polynomials.get(output, _ZERO)
-                for polynomials in per_rewriting
+            polynomials = [
+                per_tuple.get(output, _ZERO) for per_tuple in evaluated
+            ]
+            aligned: list[CitationPolynomial | None] = [None] * len(
+                rewritings
             )
-            result[output] = (aligned, self._combine_rewritings(list(aligned)))
+            for position, polynomial in zip(kept, polynomials):
+                aligned[position] = polynomial
+            result[output] = (
+                tuple(aligned), self._combine_rewritings(polynomials)
+            )
         return result
 
     def _assemble(
@@ -745,14 +874,19 @@ class CitationEngine:
         query: ConjunctiveQuery | UnionQuery,
         rewritings: tuple[Rewriting, ...],
         polynomials: TuplePolynomials,
+        pruned: dict[int, PrunedRewriting],
     ) -> CitationResult:
         """Def 3.4: ``Agg`` over the per-tuple citations, symbolic and
         rendered (through one :class:`_Rendering`), with the
         neutral-element database citation."""
         rendering = _Rendering(self)
+        skipped = _SkippedRewritings(
+            self, {position: rewritings[position] for position in pruned}
+        ) if pruned else None
         tuples = {
             output: TupleCitation(
-                output, aligned, combined, rendering.polynomial(combined)
+                output, aligned, combined, rendering.polynomial(combined),
+                skipped,
             )
             for output, (aligned, combined) in polynomials.items()
         }
@@ -770,6 +904,7 @@ class CitationEngine:
             aggregate_polynomial=aggregate,
             records=records,
             database_citation=database_citation,
+            pruned=pruned,
         )
 
     # ------------------------------------------------------------------
@@ -849,7 +984,8 @@ class CitationEngine:
         contributes its minimized disjuncts
         (:meth:`~repro.cq.ucq.UnionQuery.minimized`, memoized per
         union shape).  Every disjunct of
-        the batch is rewritten and planned, and has its shared plan
+        the batch is rewritten, and the rewritings its order does not
+        rank below the best are planned and have their shared plan
         prefixes reserved, together (:meth:`_group_batch`).  Each
         query's result is then Defs 3.1–3.3 per disjunct, ``+`` across
         the disjuncts that produce a tuple, and Def 3.4
@@ -910,14 +1046,49 @@ class CitationEngine:
             self.minimization_memo.put(key, positions)
         return tuple(union.disjuncts[index] for index in positions)
 
+    def _pruned(
+        self, rewritings: tuple[Rewriting, ...]
+    ) -> dict[int, PrunedRewriting]:
+        """The rewritings Section 3.4 absorbs for every output tuple:
+        those the policy's order ranks below the best
+        (:meth:`~repro.citation.order.MonomialOrder.rewriting_rank`).
+
+        Validated rewritings are equivalent to the query (Def 2.2), so
+        every one derives every output tuple, and a best-ranked one has
+        a non-zero polynomial for each.  Every monomial of a worse-ranked
+        rewriting is strictly below all of its monomials, so ``+R``
+        ("best") drops the worse one's polynomial and the normal form
+        (after either ``+R``) its monomials.  Strict domination is
+        transitive, so dropping them changes no other decision.  Without
+        validation (``validate=False``) or a rank, nothing is skipped.
+        """
+        order = self.policy.order
+        if (
+            order is None
+            or len(rewritings) < 2
+            or not self.rewriting_engine.engine.validate
+        ):
+            return {}
+        ranks = [order.rewriting_rank(rewriting) for rewriting in rewritings]
+        best = min(ranks)
+        pruned = {}
+        for position, rank in enumerate(ranks):
+            if rank != best:
+                (level, count), (__, kept_count) = next(
+                    pair for pair in zip(rank, best) if pair[0] != pair[1]
+                )
+                pruned[position] = PrunedRewriting(level, count, kept_count)
+        return pruned
+
     def _group_batch(
         self, disjuncts: Sequence[ConjunctiveQuery]
-    ) -> list[tuple[tuple[Rewriting, ...], tuple[QueryPlan, ...]]]:
+    ) -> list[_Disjunct]:
         """Rewrite and plan the batch, reserving shared plan prefixes.
 
         Every rewriting of every disjunct is enumerated (through the
-        rewriting cache) and planned (through the plan cache) exactly
-        once here; the prefix keys of all the plans are counted, and
+        rewriting cache) and the ones :meth:`_pruned` keeps are planned
+        (through the plan cache) exactly once here; the prefix keys of
+        all the plans are counted, and
         each plan's *longest* prefix key carried by two or more plans is
         reserved in the :attr:`subplan_memo` — the first execution of a
         reserved prefix materializes its bindings, every later plan in
@@ -926,19 +1097,26 @@ class CitationEngine:
         materialization entirely; and reserving only maximal shared
         prefixes keeps intermediate levels nobody would seed from out of
         the memo (a plan that shares a *shorter* prefix with the group
-        reserves that shorter key itself).
+        reserves that shorter key itself).  A skipped rewriting is
+        neither planned nor counted, so no prefix is materialized for
+        it.
         """
         virtual = self._materialized()
         batch = []
         for disjunct in disjuncts:
             rewritings = tuple(self.rewriting_engine.rewrite(disjunct))
-            plans = tuple(
-                self.planner.plan(rewriting.query, virtual)
-                for rewriting in rewritings
+            pruned = self._pruned(rewritings)
+            kept = tuple(
+                position for position in range(len(rewritings))
+                if position not in pruned
             )
-            batch.append((rewritings, plans))
+            plans = tuple(
+                self.planner.plan(rewritings[position].query, virtual)
+                for position in kept
+            )
+            batch.append(_Disjunct(rewritings, kept, plans, pruned))
         reserve_shared_prefixes(
-            [plan for __, plans in batch for plan in plans],
+            [plan for disjunct in batch for plan in disjunct.plans],
             self.subplan_memo,
         )
         return batch
@@ -946,9 +1124,57 @@ class CitationEngine:
     def _cite_query(
         self,
         query: ConjunctiveQuery | UnionQuery,
-        batch: list[tuple[tuple[Rewriting, ...], tuple[QueryPlan, ...]]],
+        batch: list[_Disjunct],
     ) -> CitationResult:
         """One query's result from its disjuncts' rewritings and plans.
+
+        Under the concurrency sanitizer, a query that skipped rewritings
+        is cited again through every rewriting, and the two must give
+        the same tuples in the same order, the same combined polynomial
+        per tuple and the same aggregate
+        (:func:`~repro.analysis.sanitizer.check_pruned_citation`).
+        """
+        rewritings, polynomials, pruned = self._query_polynomials(batch)
+        result = self._assemble(query, rewritings, polynomials, pruned)
+        if pruned and _sanitizer._active:
+            __, unpruned, __ = self._query_polynomials([
+                _Disjunct(
+                    disjunct.rewritings,
+                    tuple(range(len(disjunct.rewritings))),
+                    (None,) * len(disjunct.rewritings),
+                    {},
+                )
+                for disjunct in batch
+            ])
+            combined = [
+                (output, polynomial)
+                for output, (__, polynomial) in unpruned.items()
+            ]
+            # The normal form of the sum is absorbing_sum of one
+            # polynomial; called directly, Agg's absorption still runs
+            # once per citation.
+            aggregate = self._plus([polynomial for __, polynomial in combined])
+            if self.policy.order is not None:
+                aggregate = normal_form(aggregate, self.policy.order)
+            _sanitizer.check_pruned_citation(
+                "rewriting pruning",
+                [
+                    *((output, tc.polynomial)
+                      for output, tc in result.tuples.items()),
+                    ("aggregate", result.aggregate_polynomial),
+                ],
+                [*combined, ("aggregate", aggregate)],
+            )
+        return result
+
+    def _query_polynomials(
+        self, batch: list[_Disjunct]
+    ) -> tuple[
+        tuple[Rewriting, ...], TuplePolynomials, dict[int, PrunedRewriting]
+    ]:
+        """Defs 3.1–3.3 for one query: its rewritings (every disjunct's,
+        concatenated), its tuples' polynomials, and the skipped
+        positions among the rewritings.
 
         Disjuncts are alternative derivations of the same output tuples,
         so per-tuple citations combine with ``+`` across disjuncts —
@@ -957,13 +1183,13 @@ class CitationEngine:
         rendered once (:meth:`_assemble`).
         """
         disjuncts = [
-            (rewritings, self._tuple_polynomials(rewritings, plans))
-            for rewritings, plans in batch
+            (disjunct, self._tuple_polynomials(disjunct))
+            for disjunct in batch
         ]
         if len(disjuncts) == 1:
             # One disjunct's polynomials are already in normal form.
-            ((rewritings, polynomials),) = disjuncts
-            return self._assemble(query, rewritings, polynomials)
+            ((disjunct, polynomials),) = disjuncts
+            return disjunct.rewritings, polynomials, disjunct.pruned
 
         outputs: dict[tuple[Any, ...], None] = {}
         for __, polynomials in disjuncts:
@@ -984,21 +1210,22 @@ class CitationEngine:
             # contributes zero polynomials for each of its rewritings.
             per_rewriting = tuple(
                 polynomial
-                for rewritings, polynomials in disjuncts
+                for disjunct, polynomials in disjuncts
                 for polynomial in (
                     polynomials[output][0]
                     if output in polynomials
-                    else (_ZERO,) * len(rewritings)
+                    else (_ZERO,) * len(disjunct.rewritings)
                 )
             )
             tuples[output] = (per_rewriting, combined)
 
-        all_rewritings = tuple(
-            rewriting
-            for rewritings, __ in disjuncts
-            for rewriting in rewritings
-        )
-        return self._assemble(query, all_rewritings, tuples)
+        rewritings: list[Rewriting] = []
+        pruned: dict[int, PrunedRewriting] = {}
+        for disjunct, __ in disjuncts:
+            for position, why in disjunct.pruned.items():
+                pruned[len(rewritings) + position] = why
+            rewritings.extend(disjunct.rewritings)
+        return tuple(rewritings), tuples, pruned
 
     def cite_sql(self, sql: str) -> CitationResult:
         """Compute the citation for a SQL SELECT statement."""

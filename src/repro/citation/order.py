@@ -23,14 +23,17 @@ functions below go through it.
 An order that reads only a token's kind, view or relation name,
 exponent and equality declares :attr:`MonomialOrder.decides_by_shape`;
 :func:`token_shape` is what it reads of a tuple, so a citation engine
-can decide each tuple shape once and replay the decision.
+can decide each tuple shape once and replay the decision.  An order
+whose leading levels count what every monomial of a rewriting holds
+declares :meth:`MonomialOrder.rewriting_rank`, so a citation engine can
+skip the rewritings those levels always absorb before evaluating them.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from itertools import chain
-from typing import TypeVar
+from typing import TYPE_CHECKING, TypeVar
 
 from repro.citation.polynomial import (
     CitationMonomial,
@@ -47,6 +50,9 @@ from repro.semiring.polynomial import ProvenanceMonomial, ProvenancePolynomial
 from repro.util.lru import VersionedLRU
 from repro.views.inclusion import view_strictly_finer
 from repro.views.registry import ViewRegistry
+
+if TYPE_CHECKING:
+    from repro.rewriting.rewriting import Rewriting
 
 T = TypeVar("T")
 
@@ -78,6 +84,9 @@ ShapeToken = tuple[int, str, str, int]
 #: A :func:`token_shape`: per polynomial, its ``(tokens, coefficient)``
 #: terms.
 Shape = tuple[tuple[tuple[tuple[ShapeToken, ...], int], ...], ...]
+#: A :meth:`~MonomialOrder.rewriting_rank`: per ranked level, its name
+#: and the count every monomial of the rewriting has there.
+Rank = tuple[tuple[str, int], ...]
 
 
 def token_shape(polynomials: Sequence[CitationPolynomial]) -> Shape | None:
@@ -149,6 +158,10 @@ class MonomialOrder:
     set it in its own body keeps the default, ``False``, and is asked
     for every tuple.  Set it only when every decision follows from the
     shape; an order that reads parameter values must keep the default.
+
+    :meth:`rewriting_rank` is declared the same way, per class and never
+    inherited: a subclass that does not define it in its own body ranks
+    nothing, and a citation engine then evaluates every rewriting.
     """
 
     #: Whether every decision follows from :func:`token_shape` alone
@@ -159,6 +172,23 @@ class MonomialOrder:
         super().__init_subclass__(**kwargs)
         if "decides_by_shape" not in cls.__dict__:
             cls.decides_by_shape = False
+        if "rewriting_rank" not in cls.__dict__:
+            cls.rewriting_rank = MonomialOrder.rewriting_rank  # type: ignore[method-assign]
+
+    def rewriting_rank(self, rewriting: Rewriting) -> Rank:
+        """What every Def 3.1 monomial of ``rewriting`` counts at this
+        order's leading levels; ``()`` when the order declares no rank.
+
+        Def 3.1 builds one view token per view application and one
+        ``C_R`` token per uncovered atom into each monomial of a
+        rewriting, so a level that counts those tokens with multiplicity
+        counts the same for all of them.  A declared rank must keep two
+        promises: between two rewritings of one rank every monomial pair
+        is equivalent at the ranked levels, and every monomial of a
+        rewriting of a higher rank (compared as tuples) is strictly
+        below every monomial of one of a lower rank.
+        """
+        return ()
 
     def leq(self, m1: CitationMonomial, m2: CitationMonomial) -> bool:
         raise NotImplementedError
@@ -219,6 +249,9 @@ class FewestViewsOrder(CountOrder):
     def count(self, monomial: CitationMonomial) -> int:
         return view_token_count(monomial)
 
+    def rewriting_rank(self, rewriting: Rewriting) -> Rank:
+        return (("fewest views", len(rewriting.applications)),)
+
 
 class FewestUncoveredOrder(CountOrder):
     """Example 3.7: prefer monomials with fewer ``C_R`` atoms."""
@@ -227,6 +260,9 @@ class FewestUncoveredOrder(CountOrder):
 
     def count(self, monomial: CitationMonomial) -> int:
         return base_token_count(monomial)
+
+    def rewriting_rank(self, rewriting: Rewriting) -> Rank:
+        return (("fewest uncovered", len(rewriting.uncovered_atoms)),)
 
 
 class ViewInclusionOrder(MonomialOrder):
@@ -363,17 +399,32 @@ class LexicographicOrder(MonomialOrder):
 
     ``m1 ≤ m2`` iff at the first order where they are not equivalent,
     ``m1 ≤ m2`` holds (and they are ≤ when equivalent everywhere).
-    It decides by shape when every level does.
+    It decides by shape when every level does, and ranks rewritings by
+    its leading levels that declare a rank.  A level that is itself a
+    plain ``LexicographicOrder`` is spliced in level by level, which
+    orders alike.
     """
 
     def __init__(self, orders: Sequence[MonomialOrder]) -> None:
         if not orders:
             raise ValueError("LexicographicOrder needs at least one order")
-        self._orders = tuple(orders)
+        self._orders = tuple(chain.from_iterable(
+            order._orders if type(order) is LexicographicOrder else (order,)
+            for order in orders
+        ))
 
     @property  # type: ignore[override]
     def decides_by_shape(self) -> bool:
         return all(order.decides_by_shape for order in self._orders)
+
+    def rewriting_rank(self, rewriting: Rewriting) -> Rank:
+        rank: Rank = ()
+        for order in self._orders:
+            level = order.rewriting_rank(rewriting)
+            if not level:
+                break
+            rank += level
+        return rank
 
     def leq(self, m1: CitationMonomial, m2: CitationMonomial) -> bool:
         for order in self._orders:

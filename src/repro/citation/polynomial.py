@@ -84,13 +84,6 @@ def base_token_count(monomial: CitationMonomial) -> int:
     )
 
 
-def polynomial_support(
-    polynomial: CitationPolynomial,
-) -> list[CitationMonomial]:
-    """Monomials without coefficients — the idempotent-``+`` reading."""
-    return polynomial.monomials()
-
-
 def idempotent_sum(
     polynomials: Iterable[CitationPolynomial],
 ) -> CitationPolynomial:

@@ -83,10 +83,6 @@ class ParseError(QueryError):
         self.position = position
 
 
-class UnsatisfiableQueryError(QueryError):
-    """The comparison predicates of a query are contradictory."""
-
-
 class MixedTypeComparisonWarning(ReproError, UserWarning):
     """A comparison mixed incomparable types and was treated as false.
 
@@ -141,10 +137,6 @@ class RewritingError(ReproError):
     """The rewriting engine was used incorrectly."""
 
 
-class NoRewritingError(RewritingError):
-    """No rewriting satisfying the requested constraints exists."""
-
-
 # ---------------------------------------------------------------------------
 # Citation algebra
 # ---------------------------------------------------------------------------
@@ -158,8 +150,9 @@ class PolicyError(CitationError):
     """A citation policy is ill-formed or incompatible with the request."""
 
 
-class FormattingError(CitationError):
-    """A citation function could not format its input."""
+class StaleResultError(CitationError):
+    """A citation result was asked, after the database changed, for the
+    per-rewriting polynomials of rewritings it skipped."""
 
 
 # ---------------------------------------------------------------------------

@@ -124,9 +124,6 @@ class RelationSchema:
                 f"relation {self.name!r} has no attribute {attribute!r}"
             ) from None
 
-    def has_attribute(self, attribute: str) -> bool:
-        return attribute in self._positions
-
     def key_positions(self) -> tuple[int, ...]:
         """Positions of the primary-key attributes."""
         return tuple(self._positions[attr] for attr in self.key)

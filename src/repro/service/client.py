@@ -173,19 +173,3 @@ class ServiceClient:
             )
         return reply.data
 
-    def wait_ready(self, attempts: int = 50,
-                   delay_s: float = 0.1) -> None:
-        """Poll ``/healthz`` until the service answers (startup races)."""
-        import time
-
-        for attempt in range(attempts):
-            try:
-                if self.get("/healthz").ok:
-                    return
-            except ServiceClientError:
-                pass
-            time.sleep(delay_s)
-        raise ServiceClientError(
-            f"service at {self.host}:{self.port} not ready after "
-            f"{attempts} attempts"
-        )

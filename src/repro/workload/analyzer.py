@@ -59,9 +59,6 @@ class LogProfile:
     def top_relations(self, k: int = 5) -> list[tuple[str, int]]:
         return self.relation_counts.most_common(k)
 
-    def top_joins(self, k: int = 5) -> list[tuple[tuple, int]]:
-        return self.join_counts.most_common(k)
-
     def top_selections(self, k: int = 5) -> list[tuple[tuple[str, int], int]]:
         """Most-filtered (relation, position) pairs — λ candidates."""
         return self.selection_counts.most_common(k)

@@ -53,11 +53,6 @@ class WorkloadReport:
         return self.rewriting_hits / total if total else 0.0
 
     @property
-    def plan_hit_rate(self) -> float:
-        total = self.plan_hits + self.plan_misses
-        return self.plan_hits / total if total else 0.0
-
-    @property
     def subplan_hit_rate(self) -> float:
         total = self.subplan_hits + self.subplan_misses
         return self.subplan_hits / total if total else 0.0

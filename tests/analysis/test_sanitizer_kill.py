@@ -18,7 +18,12 @@ from repro.analysis.sanitizer import (
 )
 from repro.citation import generator
 from repro.citation.generator import CitationEngine
-from repro.citation.order import token_shape
+from repro.citation.order import (
+    FewestUncoveredOrder,
+    FewestViewsOrder,
+    token_shape,
+)
+from repro.citation.policy import comprehensive_policy
 from repro.citation.tokens import ViewCitationToken
 from repro.cq import evaluation
 from repro.cq.parser import parse_query
@@ -129,15 +134,26 @@ class TestWorkerThreadMutation:
 class TestStaleCacheServe:
     """Kill: a version-keyed cache serves without re-validating."""
 
-    #: The batch's one shared prefix scans V2, the FamilyIntro view.
+    #: The batch's one shared prefix scans V2, the FamilyIntro view: the
+    #: comprehensive policy evaluates all three two-view rewritings of
+    #: the intro query (an order would keep only ``V5("gpcr")``).
     MEMO_QUERIES = (
         QUERY,
         'Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = "gpcr"',
     )
 
+    @pytest.fixture
+    def memo_engine(self):
+        db = paper_database()
+        return CitationEngine(
+            db, ViewRegistry(db.schema, paper_views()),
+            policy=comprehensive_policy(),
+        )
+
     def test_patched_out_memo_validation_is_caught(
-        self, active, engine, monkeypatch
+        self, active, memo_engine, monkeypatch
     ):
+        engine = memo_engine
         queries = [parse_query(text) for text in self.MEMO_QUERIES]
         engine.cite_batch(queries)  # populate the sub-plan memo
 
@@ -155,10 +171,11 @@ class TestStaleCacheServe:
         )
 
     def test_write_to_another_relation_serves_quietly(
-        self, active, engine, monkeypatch
+        self, active, memo_engine, monkeypatch
     ):
         # Control: a Family row changes no view the memo entry reads,
         # so the entry is fresh, served, and the sanitizer stays quiet.
+        engine = memo_engine
         queries = [parse_query(text) for text in self.MEMO_QUERIES]
         engine.cite_batch(queries)
         memo = engine.subplan_memo
@@ -267,6 +284,103 @@ class TestReplayedAbsorption:
         # Control: unchecked, tuple b silently loses C[V1(13)].
         result = crafted.cite(QUERY)
         assert repr(result.tuples[("b",)].polynomial) == "C[V1('11')]"
+
+
+class TestPrunedRewritings:
+    """Kill: a rewriting rank that misses what the order reads.
+
+    The focused policy's order ranks rewritings by uncovered atoms, then
+    view applications, and the engine skips the ones ranked below the
+    best before evaluating them.  Each mutation ranks wrongly, or skips
+    where the ranks prove nothing, and must be caught: by the
+    sanitizer, which cites the query again through every rewriting, or
+    by a direct check.
+    """
+
+    #: Total rewritings with two views (V1, V3 or V4, and X) against
+    #: partial ones with one view (V5, FC uncovered): the total ones
+    #: win, on uncovered atoms alone.
+    THREE_ATOMS = "Q(N, Tx, C) :- Family(F, N, Ty), FamilyIntro(F, Tx), FC(F, C)"
+    #: Nine rewritings of two view applications each, V4·V4 and V4·V1
+    #: among them: one rank, nothing skipped.
+    SELF_JOIN = (
+        'Q(N1, N2) :- Family(F1, N1, Ty), Family(F2, N2, Ty), Ty = "gpcr"'
+    )
+    #: Example 2.3: ``V5("gpcr")`` against three two-view rewritings.
+    INTRO = 'Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = "gpcr"'
+
+    @pytest.fixture
+    def ranked(self):
+        db = paper_database()
+        registry = ViewRegistry(db.schema, paper_views() + [
+            CitationView.from_strings(
+                view="lambda F. X(F, Tx, C) :- FamilyIntro(F, Tx), FC(F, C)",
+                citation_query="lambda F. CX(F, Tx) :- FamilyIntro(F, Tx)",
+            ),
+        ])
+        return CitationEngine(db, registry)
+
+    def test_rank_ignoring_uncovered_atoms_is_caught(
+        self, active, ranked, monkeypatch
+    ):
+        # BUG: every rewriting counts as total, so V5·C_R[FC] ranks
+        # first on views and the winning two-view rewritings are skipped.
+        monkeypatch.setattr(
+            FewestUncoveredOrder, "rewriting_rank",
+            lambda self, rewriting: (("fewest uncovered", 0),),
+        )
+        with pytest.raises(ConcurrencySanitizerError) as err:
+            ranked.cite(self.THREE_ATOMS)
+        assert err.value.check == "pruned-rewritings", (
+            "the sanitizer FAILED to catch a rank that ignores "
+            "uncovered atoms"
+        )
+
+    def test_rank_counting_distinct_views_is_caught(
+        self, active, engine, monkeypatch
+    ):
+        # BUG: V4·V4 counts one view, so V4·V1 and the others, which
+        # tie with it in the order, are skipped.
+        monkeypatch.setattr(
+            FewestViewsOrder, "rewriting_rank",
+            lambda self, rewriting: (("fewest views", len({
+                application.view.name
+                for application in rewriting.applications
+            })),),
+        )
+        with pytest.raises(ConcurrencySanitizerError) as err:
+            engine.cite(self.SELF_JOIN)
+        assert err.value.check == "pruned-rewritings", (
+            "the sanitizer FAILED to catch a rank that counts distinct "
+            "views instead of view applications"
+        )
+
+    def test_unvalidated_rewritings_are_never_skipped(self):
+        # Without Def 2.2 validation a rewriting need not derive every
+        # output tuple, so no rank proves another rewriting absorbs it.
+        db = paper_database()
+        engine = CitationEngine(
+            db, ViewRegistry(db.schema, paper_views()), validate=False
+        )
+        result = engine.cite(self.INTRO)
+        assert len(result.rewritings) > 1
+        assert result.pruned == {}
+        assert all(
+            None not in tc._per_rewriting for tc in result.tuples.values()
+        )
+
+    def test_true_ranks_stay_quiet(self, active, ranked):
+        # Control: the shipped ranks skip rewritings on two of the three
+        # queries, and citing through every rewriting agrees.
+        skipped = {
+            text: sorted(ranked.cite(text).pruned)
+            for text in (self.THREE_ATOMS, self.SELF_JOIN, self.INTRO)
+        }
+        assert skipped == {
+            self.THREE_ATOMS: [3, 4, 5, 6],
+            self.SELF_JOIN: [],
+            self.INTRO: [1, 2, 3],
+        }
 
 
 class TestInstantiatedRewriting:

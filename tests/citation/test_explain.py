@@ -22,6 +22,33 @@ class TestExplain:
         assert len(absorbed) == 3
         assert used[0].rewriting.applications[0].view.name == "V5"
 
+    def test_skipped_rewritings_name_the_deciding_level(
+        self, focused_engine
+    ):
+        # Example 2.3: Q1-Q3 use two views each, Q4 = V5("gpcr") one, so
+        # fewest views absorbs Q1-Q3 before any of them is evaluated.
+        result = focused_engine.cite(QUERY)
+        explanation = explain(result)
+        used = [e for e in explanation.rewritings if e.used]
+        absorbed = [e for e in explanation.rewritings if not e.used]
+        assert [repr(e.rewriting.query) for e in used] == [
+            'Q(N, Tx) :- V5(F, N, "gpcr", Tx)'
+        ]
+        assert used[0].pruned is None
+        assert [str(e.pruned) for e in absorbed] == [
+            "fewest views: 2 against 1"
+        ] * 3
+        assert all(
+            e.describe().startswith(
+                "[absorbed by preference order (fewest views: 2 against 1)]"
+            )
+            for e in absorbed
+        )
+        # Explaining evaluated none of the skipped rewritings.
+        assert all(
+            tc._skipped is not None for tc in result.tuples.values()
+        )
+
     def test_comprehensive_marks_all_used(self, comprehensive_engine):
         result = comprehensive_engine.cite(QUERY)
         explanation = explain(result)

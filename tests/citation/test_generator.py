@@ -558,3 +558,92 @@ class TestOnePipeline:
                 assert tc.per_rewriting == alone.tuples[output].per_rewriting
                 assert tc.records == alone.tuples[output].records
             assert result.aggregate_polynomial == alone.aggregate_polynomial
+
+
+class TestSkippedRewritings:
+    """Rewritings the focused order ranks below the best are neither
+    planned nor evaluated; their ``per_rewriting`` entries are computed
+    on first read."""
+
+    INTRO = 'Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = "gpcr"'
+    #: Rewriting 0 joins V1 and V2 (two views) and is skipped; the kept
+    #: V5 rewriting derives two tuples.
+    CONTRIBUTORS = (
+        'Q(C) :- Family(F, N, Ty), FamilyIntro(F, Tx), FIC(F, C), F = "11"'
+    )
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        """The rewritings ``evaluate_with_bindings`` runs, with the
+        sanitizer off: under ``--sanitize`` a pruned query is cited
+        again through every rewriting."""
+        import repro.citation.generator as generator
+        from repro.analysis.sanitizer import set_sanitize
+
+        previous = set_sanitize("off")
+        calls = []
+        real = generator.evaluate_with_bindings
+
+        def counted(query, *args, **kwargs):
+            calls.append(repr(query))
+            return real(query, *args, **kwargs)
+
+        monkeypatch.setattr(generator, "evaluate_with_bindings", counted)
+        yield calls
+        set_sanitize(previous)
+
+    def test_only_kept_rewritings_are_planned_and_evaluated(
+        self, db, registry, evaluations
+    ):
+        engine = CitationEngine(db, registry)
+        planned = []
+        plan = engine.planner.plan
+
+        def counted(query, *args, **kwargs):
+            planned.append(repr(query))
+            return plan(query, *args, **kwargs)
+
+        engine.planner.plan = counted
+        result = engine.cite(self.INTRO)
+        assert sorted(result.pruned) == [1, 2, 3]
+        assert evaluations == ['Q(N, Tx) :- V5(F, N, "gpcr", Tx)']
+        # The others planned are the views' extensions and citation
+        # queries.
+        assert [text for text in planned if text.startswith("Q(")] == (
+            evaluations
+        )
+        # The first read evaluates the three skipped rewritings once,
+        # for every tuple of the result.
+        full = CitationEngine(
+            db, registry, policy=comprehensive_policy()
+        ).cite(self.INTRO)
+        evaluations.clear()
+        for output, tc in result.tuples.items():
+            assert tc.per_rewriting == full.tuples[output].per_rewriting
+        assert len(evaluations) == 3
+
+    def test_tuples_keep_the_order_of_a_skipped_rewriting_zero(
+        self, db, registry, evaluations
+    ):
+        result = CitationEngine(db, registry).cite(self.CONTRIBUTORS)
+        assert 0 in result.pruned and len(result.tuples) == 2
+        # Rewriting 0's plan runs for the tuple order alone.
+        assert evaluations == [
+            'Q(C) :- V5("11", N, Ty, Tx), FIC("11", C)',
+            'Q(C) :- V1("11", N, Ty), V2("11", Tx), FIC("11", C)',
+        ]
+        full = CitationEngine(
+            db, registry, policy=comprehensive_policy()
+        ).cite(self.CONTRIBUTORS)
+        assert list(result.tuples) == list(full.tuples)
+
+    def test_validate_false_and_comprehensive_skip_nothing(
+        self, db, registry
+    ):
+        for engine in (
+            CitationEngine(db, registry, validate=False),
+            CitationEngine(db, registry, policy=comprehensive_policy()),
+        ):
+            result = engine.cite(self.INTRO)
+            assert result.pruned == {}
+            assert len(result.rewritings) >= 4

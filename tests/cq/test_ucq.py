@@ -312,7 +312,7 @@ class TestEdgeSemantics:
                 unshared._plus(polynomials), unshared.policy.order
             ))
             for output, polynomials in per_tuple.items()
-        })
+        }, {})
         assert list(left.tuples) == list(right.tuples)
         assert self._polynomials(left) == self._polynomials(right)
         assert left.records == right.records

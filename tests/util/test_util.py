@@ -1,4 +1,4 @@
-"""Tests for shared utilities: name supply, ordered sets, JSON helpers."""
+"""Tests for shared utilities: name supply, JSON helpers."""
 
 from repro.util.jsonutil import (
     canonical_json,
@@ -7,7 +7,6 @@ from repro.util.jsonutil import (
     union_records,
 )
 from repro.util.naming import NameSupply, fresh_variable_name
-from repro.util.orderedset import OrderedSet
 
 
 class TestNameSupply:
@@ -38,45 +37,6 @@ class TestNameSupply:
         assert fresh_variable_name(["a"], hint="b") == "b"
         assert fresh_variable_name(["b"], hint="b") == "b0"
         assert fresh_variable_name(["b", "b0"], hint="b") == "b1"
-
-
-class TestOrderedSet:
-    def test_insertion_order_preserved(self):
-        s = OrderedSet([3, 1, 2, 1])
-        assert list(s) == [3, 1, 2]
-
-    def test_membership(self):
-        s = OrderedSet("abc")
-        assert "a" in s and "z" not in s
-
-    def test_add_discard(self):
-        s = OrderedSet()
-        s.add(1)
-        s.add(1)
-        assert len(s) == 1
-        s.discard(1)
-        s.discard(1)  # no error
-        assert len(s) == 0
-
-    def test_union_intersection_difference(self):
-        a = OrderedSet([1, 2, 3])
-        b = OrderedSet([2, 3, 4])
-        assert list(a.union(b)) == [1, 2, 3, 4]
-        assert list(a.intersection(b)) == [2, 3]
-        assert list(a.difference(b)) == [1]
-
-    def test_equality_with_builtin_set(self):
-        assert OrderedSet([1, 2]) == {2, 1}
-        assert OrderedSet([1, 2]) == OrderedSet([2, 1])
-
-    def test_hash_order_insensitive(self):
-        assert hash(OrderedSet([1, 2])) == hash(OrderedSet([2, 1]))
-
-    def test_copy_independent(self):
-        a = OrderedSet([1])
-        b = a.copy()
-        b.add(2)
-        assert 2 not in a
 
 
 class TestJsonUtil:
