@@ -22,7 +22,7 @@ Assertions (the PR's acceptance gate):
 import time
 
 from repro.citation.generator import CitationEngine
-from repro.service import ServiceClient, ServiceConfig, ServiceThread
+from repro.service import ServiceClient, ServiceThread
 from repro.views.registry import ViewRegistry
 
 from bench_e16_planner import _overlap_queries, _scaled, overlap_database
@@ -94,38 +94,57 @@ def test_e17_warm_service_beats_cold_engines(quick):
 
 
 def test_e17_concurrent_clients_share_one_batch(quick):
-    """Cross-client micro-batching on the wire: requests queued together
-    coalesce into fewer engine batches (visible in /stats)."""
+    """Cross-client micro-batching on the wire: requests that queue
+    behind a running lane job coalesce into fewer engine batches
+    (visible in /stats)."""
     import threading
 
     db, registry = _overlap_setup(quick)
     engine = CitationEngine(db, registry)
-    config = ServiceConfig(port=0, batch_linger_s=0.05)
-    clients = 6
-    with ServiceThread(engine, config) as handle:
-        barrier = threading.Barrier(clients)
+    original = engine.cite_batch
+    occupied, release = threading.Event(), threading.Event()
+
+    def held_cite_batch(queries):
+        if not occupied.is_set():
+            occupied.set()
+            release.wait(30.0)
+        return original(queries)
+
+    engine.cite_batch = held_cite_batch
+    texts = _overlap_queries()
+    clients = len(texts)
+    with ServiceThread(engine) as handle:
         statuses = []
 
         def one(text):
             client = ServiceClient(handle.base_url)
             try:
-                barrier.wait(10.0)
                 statuses.append(client.cite(text).status)
             finally:
                 client.close()
 
         threads = [
-            threading.Thread(target=one, args=(text,))
-            for text in _overlap_queries()
+            threading.Thread(target=one, args=(text,)) for text in texts
         ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30.0)
+        threads[0].start()
         observer = ServiceClient(handle.base_url)
         try:
+            assert occupied.wait(10.0)
+            for thread in threads[1:]:
+                thread.start()
+            # The other clients queue behind the held batch.
+            deadline = time.monotonic() + 10.0
+            while (
+                observer.stats()["admission"]["outstanding"] < clients
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.01)
+            release.set()
+            for thread in threads:
+                thread.join(timeout=30.0)
             batching = observer.stats()["service"]["batching"]
         finally:
+            release.set()
             observer.close()
     assert statuses == [200] * clients
     assert batching["batched_requests"] == clients

@@ -15,8 +15,8 @@ consumer process.
 This walk-through starts the service in-process (the same
 :class:`~repro.service.ServiceThread` the tests and benchmarks use),
 sends single and batched citation requests, fires four concurrent
-clients whose single-query requests coalesce into shared engine
-batches, inserts a row to show a write applied as a row delta (cached
+clients and prints the micro-batching counters (single-query requests
+that queue together share one engine batch), inserts a row to show a write applied as a row delta (cached
 records it did not change stay warm), and reads the ``/stats``
 cache-counter deltas after each step.
 """
@@ -27,7 +27,7 @@ from repro.citation.generator import CitationEngine
 from repro.citation.policy import focused_policy
 from repro.gtopdb.sample import paper_database
 from repro.gtopdb.views import paper_registry
-from repro.service import ServiceClient, ServiceConfig, ServiceThread
+from repro.service import ServiceClient, ServiceThread
 
 GPCR = 'Q(N) :- Family(F, N, Ty), Ty = "gpcr"'
 VGIC = 'Q(N) :- Family(F, N, Ty), Ty = "vgic"'
@@ -63,8 +63,7 @@ def main() -> None:
     )
 
     print("== starting the service on an ephemeral port")
-    config = ServiceConfig(port=0, batch_linger_s=0.05)
-    with ServiceThread(engine, config) as handle:
+    with ServiceThread(engine) as handle:
         print(f"   listening on {handle.base_url}")
         client = ServiceClient(handle.base_url)
 
@@ -84,7 +83,7 @@ def main() -> None:
         print(f"   {reply.data['count']} results in one request")
         show_delta("batch", before, cache_counters(client.stats()))
 
-        print("\n== four concurrent clients coalesce on the wire")
+        print("\n== four concurrent clients on the wire")
         barrier = threading.Barrier(4)
 
         def one_client(text):

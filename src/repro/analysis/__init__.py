@@ -42,6 +42,7 @@ _EXPORTS = {
     "Diagnostic": "repro.analysis.diagnostics",
     "analyze_query": "repro.analysis.diagnostics",
     "analyze_union": "repro.analysis.diagnostics",
+    "check_relations": "repro.analysis.diagnostics",
     "has_errors": "repro.analysis.diagnostics",
     "render_diagnostics": "repro.analysis.diagnostics",
     "PlanVerificationError": "repro.analysis.verifier",

@@ -24,7 +24,9 @@ QA204     error     union provably empty (every disjunct is)
 
 ``QA1xx`` findings are advisory; ``QA2xx`` findings mean the query can
 never return a row, which the CLI (``repro analyze``, and ``plan`` /
-``cite`` on such queries) reports with a distinct exit status.
+``cite`` on such queries) reports with a distinct exit status.  Only
+``QA101`` and ``QA105`` read a database, and both are warnings: whether
+a query is provably empty depends on its text alone.
 """
 
 from __future__ import annotations
@@ -44,8 +46,9 @@ from repro.cq.plan import (
 from repro.cq.query import ConjunctiveQuery
 from repro.cq.terms import Constant, Variable
 from repro.cq.ucq import UnionQuery
-from repro.errors import QueryError, ReproError
+from repro.errors import QueryError, ReproError, UnknownRelationError
 from repro.relational.database import Database
+from repro.relational.schema import Schema
 
 #: Severity levels, in increasing order of trouble.
 WARNING = "warning"
@@ -364,6 +367,27 @@ def analyze_union(
                 break
     findings.sort(key=lambda d: (d.severity != ERROR, d.code))
     return findings
+
+
+def check_relations(
+    query: ConjunctiveQuery | UnionQuery, schema: Schema
+) -> None:
+    """Raise :class:`~repro.errors.UnknownRelationError` where the
+    database-backed analysis would: at the first atom over a relation
+    ``schema`` lacks, in the first disjunct ``QA101`` plans (one that is
+    unparameterized and not provably empty).  Citing may not raise it:
+    the rewriter plans nothing for a query it proves empty by
+    comparisons no ``QA2xx`` covers, such as ``X < Y, Y < X``."""
+    disjuncts = query.disjuncts if isinstance(query, UnionQuery) else (query,)
+    for disjunct in disjuncts:
+        unknown = [
+            atom.relation for atom in disjunct.atoms
+            if atom.relation not in schema
+        ]
+        if unknown and not disjunct.is_parameterized and not has_errors(
+            _closure_diagnostics(disjunct)[0]
+        ):
+            raise UnknownRelationError(unknown[0])
 
 
 def render_diagnostics(diagnostics: Sequence[Diagnostic]) -> str:

@@ -191,7 +191,7 @@ def _parse(text: str, db: Any, sql: bool) -> Any:
     return parse_datalog(text)
 
 
-def _analyze(query: Any, db: Any) -> list:
+def _analyze(query: Any, db: Any = None) -> list:
     """Diagnostics for a parsed CQ or union (see ``repro analyze``)."""
     from repro.analysis import analyze_query, analyze_union
     from repro.cq.ucq import UnionQuery
@@ -259,13 +259,15 @@ def cmd_cite(args: argparse.Namespace) -> int:
     A query that static analysis proves empty (contradictory equalities,
     an empty range interval, a false ground comparison) is reported with
     its QA diagnostic on stderr and exit status 3 instead of an empty
-    citation.
+    citation.  That is decided from the query alone, as ``/cite``
+    decides its 422.
     """
-    from repro.analysis import has_errors
+    from repro.analysis import check_relations, has_errors
 
     db, registry = _load(args.project)
     query = _parse(args.query, db, args.sql)
-    diagnostics = _analyze(query, db)
+    check_relations(query, db.schema)
+    diagnostics = _analyze(query)
     if has_errors(diagnostics):
         return _report_empty_query(diagnostics)
     result = _build_engine(db, registry, args.policy).cite(query)

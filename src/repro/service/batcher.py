@@ -14,12 +14,13 @@ thread at a time:
   citations always see a consistent snapshot;
 - consecutive queued single-query ``cite`` jobs, conjunctive or union,
   coalesce into **one**
-  :meth:`~repro.citation.generator.CitationEngine.cite_batch` call
-  (after a short linger window that lets concurrently-arriving clients
-  pile on), so concurrent traffic shares the sub-plan memo and plan
-  cache exactly like a hand-built batch would.  When the coalesced call
-  raises, each job is cited alone, so a failing query fails only its
-  own request;
+  :meth:`~repro.citation.generator.CitationEngine.cite_batch` call, so
+  concurrent traffic shares the sub-plan memo and plan cache exactly
+  like a hand-built batch would.  The worker runs a batch as soon as it
+  picks up a cite job: what coalesces is what queued behind the job
+  before it, never a wait for more.  When the coalesced call raises,
+  each job is cited alone, so a failing query fails only its own
+  request;
 - the queue is bounded: when ``max_pending`` jobs are outstanding,
   :meth:`EngineLane.submit_cite` / :meth:`EngineLane.submit` raise
   :class:`AdmissionFull` and the server answers 429 with
@@ -91,13 +92,8 @@ class EngineLane:
         beyond it raise :class:`AdmissionFull`.
     max_batch:
         Largest number of single-query cite jobs coalesced into one
-        ``cite_batch`` call.
-    batch_linger_s:
-        How long the worker waits after picking up a cite job for more
-        cite jobs to arrive before executing the batch.  A couple of
-        milliseconds is enough to coalesce genuinely concurrent clients;
-        0 disables the wait (consecutive already-queued jobs still
-        coalesce).
+        ``cite_batch`` call: the job the worker picks up plus the cite
+        jobs queued right behind it.
     on_batch:
         Optional callback ``(size) -> None`` invoked per executed
         coalesced batch (feeds the service metrics).
@@ -108,7 +104,6 @@ class EngineLane:
         engine: CitationEngine,
         max_pending: int = 64,
         max_batch: int = 16,
-        batch_linger_s: float = 0.002,
         on_batch: Callable[[int], None] | None = None,
     ) -> None:
         if max_pending < 1:
@@ -118,7 +113,6 @@ class EngineLane:
         self.engine = engine
         self.max_pending = max_pending
         self.max_batch = max_batch
-        self.batch_linger_s = batch_linger_s
         self.on_batch = on_batch
         self._jobs: deque[_Job] = deque()
         self._wakeup = asyncio.Event()
@@ -253,11 +247,6 @@ class EngineLane:
         return batch
 
     async def _run_cite_batch(self, first: _Job) -> None:
-        if self.batch_linger_s > 0 and len(self._jobs) < self.max_batch:
-            # Give concurrently-arriving clients a beat to pile on; the
-            # lane is idle-waiting either way, so this costs latency only
-            # when it buys batching.
-            await asyncio.sleep(self.batch_linger_s)
         batch = self._coalesce(first)
         queries = [job.payload for job in batch]
         try:

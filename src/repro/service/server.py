@@ -8,9 +8,9 @@ secondary/composite indexes, relation statistics — amortizes across
 (all JSON over HTTP/1.1; see ``docs/service.md`` for schemas):
 
 ========================  ====================================================
-``POST /cite``            cite one query, conjunctive or union; concurrent
-                          requests are micro-batched into ``cite_batch``
-                          across clients
+``POST /cite``            cite one query, conjunctive or union; requests
+                          queued together are micro-batched into one
+                          ``cite_batch`` across clients
 ``POST /cite-batch``      cite a list of queries as one shared batch
 ``POST /plan``            EXPLAIN + QA diagnostics as JSON
 ``POST /analyze``         QA diagnostics only
@@ -27,7 +27,9 @@ running on the lane so batch-mates are unaffected), a bounded admission
 queue with backpressure (429 + ``Retry-After``), payload limits (413),
 and graceful drain on SIGTERM (stop accepting, finish in-flight work,
 then exit 0).  Queries that static analysis proves empty are refused
-with 422 — the HTTP rendering of the CLI's exit status 3.
+with 422 — the HTTP rendering of the CLI's exit status 3.  That needs
+the query alone, so a ``/cite`` is one lane job; only a refused query
+pays one, for the database-backed findings its 422 lists.
 """
 
 from __future__ import annotations
@@ -43,7 +45,12 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any
 
-from repro.analysis import analyze_query, analyze_union, has_errors
+from repro.analysis import (
+    analyze_query,
+    analyze_union,
+    check_relations,
+    has_errors,
+)
 from repro.citation.generator import CitationEngine, CitationResult
 from repro.cq.subplan import SubplanMemo
 from repro.cq.ucq import UnionQuery, parse_datalog
@@ -62,7 +69,6 @@ from repro.service.protocol import (
     read_request,
     render_response,
 )
-from repro.util.lru import VersionedLRU
 
 logger = logging.getLogger("repro.service")
 
@@ -86,10 +92,10 @@ class ServiceConfig:
     max_pending:
         Admission-queue bound (queued + running engine jobs); beyond it
         requests are rejected with 429 + ``Retry-After``.
-    max_batch / batch_linger_s:
-        Micro-batching: the largest cross-client coalesced batch, and
-        how long the lane lingers for concurrent arrivals before
-        executing one (see :class:`~repro.service.batcher.EngineLane`).
+    max_batch:
+        Micro-batching: the largest cross-client coalesced batch, made
+        of the cite jobs queued behind the one the lane picks up (see
+        :class:`~repro.service.batcher.EngineLane`).
     retry_after_s:
         The ``Retry-After`` hint on 429 responses.
     drain_timeout_s:
@@ -102,7 +108,6 @@ class ServiceConfig:
     max_body_bytes: int = 1_000_000
     max_pending: int = 64
     max_batch: int = 16
-    batch_linger_s: float = 0.002
     retry_after_s: float = 1.0
     drain_timeout_s: float = 10.0
 
@@ -116,6 +121,13 @@ class _HttpError(Exception):
         self.status = status
         self.payload = payload
         self.headers = headers or {}
+
+
+def _analyze(query: Any, db: Any = None) -> list[Any]:
+    """The QA findings of a CQ or union; ``db`` adds warnings only."""
+    if isinstance(query, UnionQuery):
+        return analyze_union(query, db)
+    return analyze_query(query, db)
 
 
 def _diagnostic_json(diagnostics: list[Any]) -> list[dict[str, Any]]:
@@ -152,17 +164,9 @@ class CitationService:
             engine,
             max_pending=self.config.max_pending,
             max_batch=self.config.max_batch,
-            batch_linger_s=self.config.batch_linger_s,
             on_batch=self.metrics.observe_batch,
         )
         self._server: asyncio.AbstractServer | None = None
-        # QA diagnostics are pure in the query and the relations it
-        # reads: repeat traffic skips the analysis lane job entirely.
-        # Entries are tagged with those relations' versions, so a write
-        # invalidates only the analyses that read what it changed.
-        self.analysis_cache: VersionedLRU[str, list[Any]] = VersionedLRU(
-            256, "analysis cache"
-        )
         self._connections: set[_Connection] = set()
         self._draining = False
         self._stopped = asyncio.Event()
@@ -373,59 +377,29 @@ class CitationService:
             return parse_sql(text, self.engine.db.schema)
         return parse_datalog(text)
 
-    async def _analyze_on_lane(
-        self, queries: Sequence[Any]
-    ) -> list[list[Any]]:
-        """Each query's QA diagnostics, serialized with writes on the
-        engine lane: the queries the analysis cache misses are analysed
-        together, in one lane job."""
-        engine = self.engine
-        tags = []
-        found: dict[int, list[Any]] = {}
-        for index, query in enumerate(queries):
-            disjuncts = (
-                query.disjuncts if isinstance(query, UnionQuery)
-                else (query,)
-            )
-            key = repr(query)
-            version = engine.db.versions(dict.fromkeys(
-                name for disjunct in disjuncts
-                for name in disjunct.relation_names()
-            ))
-            tags.append((key, version))
-            cached = self.analysis_cache.get(key, engine.db, version)
-            if cached is not None:
-                found[index] = cached
-        missing = [index for index in range(len(queries))
-                   if index not in found]
-        if missing:
-
-            def job() -> list[list[Any]]:
-                return [
-                    analyze_union(queries[index], engine.db)
-                    if isinstance(queries[index], UnionQuery)
-                    else analyze_query(queries[index], engine.db)
-                    for index in missing
-                ]
-
-            analysed = await self._bounded(self.lane.submit(job))
-            for index, diagnostics in zip(missing, analysed):
-                key, version = tags[index]
-                self.analysis_cache.put(key, diagnostics, engine.db, version)
-                found[index] = diagnostics
-        return [found[index] for index in range(len(queries))]
-
     async def _bounded(self, future: "asyncio.Future[Any]") -> Any:
         return await wait_bounded(future, self.config.request_timeout_s)
 
-    def _refuse_if_empty(self, diagnostics: list[Any]) -> None:
-        if has_errors(diagnostics):
-            # HTTP 422: the request parses but can provably never return
-            # a row — the service rendering of CLI exit status 3.
-            raise _HttpError(422, {
-                "error": "query provably returns no rows",
-                "diagnostics": _diagnostic_json(diagnostics),
-            })
+    async def _refused(
+        self, queries: Sequence[Any]
+    ) -> list[tuple[int, list[Any]]]:
+        """The provably empty queries: each one's index and findings.
+
+        Refusal, like a 400 for a relation the schema lacks, needs no
+        data, so it is decided on the event loop.  One lane job adds the
+        refused queries' database-backed warnings to their findings."""
+        db = self.engine.db
+        refused = []
+        for index, query in enumerate(queries):
+            check_relations(query, db.schema)
+            if has_errors(_analyze(query)):
+                refused.append(index)
+        if not refused:
+            return []
+        found = await self._bounded(self.lane.submit(
+            lambda: [_analyze(queries[index], db) for index in refused]
+        ))
+        return list(zip(refused, found))
 
     # ------------------------------------------------------------------
     # endpoint handlers
@@ -437,8 +411,13 @@ class CitationService:
         body = self._body_object(request)
         query = self._parse(self._query_text(body),
                             sql=bool(body.get("sql")))
-        [diagnostics] = await self._analyze_on_lane([query])
-        self._refuse_if_empty(diagnostics)
+        for __, diagnostics in await self._refused([query]):
+            # HTTP 422: the request parses but can provably never return
+            # a row — the service rendering of CLI exit status 3.
+            raise _HttpError(422, {
+                "error": "query provably returns no rows",
+                "diagnostics": _diagnostic_json(diagnostics),
+            })
         result: CitationResult = await self._bounded(
             self.lane.submit_cite(query)
         )
@@ -470,10 +449,7 @@ class CitationService:
                 "query": texts[index],
                 "diagnostics": _diagnostic_json(diagnostics),
             }
-            for index, diagnostics in enumerate(
-                await self._analyze_on_lane(queries)
-            )
-            if has_errors(diagnostics)
+            for index, diagnostics in await self._refused(queries)
         ]
         if empty:
             raise _HttpError(422, {
@@ -497,23 +473,23 @@ class CitationService:
         body = self._body_object(request)
         query = self._parse(self._query_text(body),
                             sql=bool(body.get("sql")))
-        [diagnostics] = await self._analyze_on_lane([query])
         engine = self.engine
 
-        def job() -> str:
+        def job() -> tuple[list[Any], str]:
+            diagnostics = _analyze(query, engine.db)
             virtual = engine.materialized_views()
             if isinstance(query, UnionQuery):
                 # Shared-prefix lines come from a throwaway memo: an
                 # EXPLAIN must not reserve prefixes in the engine's.
-                return query.explain(
+                return diagnostics, query.explain(
                     engine.db, engine.planner, SubplanMemo(), virtual,
                     diagnostics,
                 )
-            return engine.planner.plan(query, virtual).explain(
+            return diagnostics, engine.planner.plan(query, virtual).explain(
                 diagnostics=diagnostics
             )
 
-        explain_text = await self._bounded(self.lane.submit(job))
+        diagnostics, explain_text = await self._bounded(self.lane.submit(job))
         payload = {
             "explain": explain_text,
             "diagnostics": _diagnostic_json(diagnostics),
@@ -529,7 +505,10 @@ class CitationService:
         body = self._body_object(request)
         query = self._parse(self._query_text(body),
                             sql=bool(body.get("sql")))
-        [diagnostics] = await self._analyze_on_lane([query])
+        db = self.engine.db
+        diagnostics = await self._bounded(
+            self.lane.submit(lambda: _analyze(query, db))
+        )
         provably_empty = has_errors(diagnostics)
         payload = {
             "diagnostics": _diagnostic_json(diagnostics),
@@ -567,16 +546,17 @@ class CitationService:
         relation, rows = self._mutation_rows(request)
         engine = self.engine
 
-        def job() -> int:
-            return len(engine.db.insert_all(
+        def job() -> tuple[int, int]:
+            inserted = engine.db.insert_all(
                 relation, [tuple(row) for row in rows]
-            ))
+            )
+            return len(inserted), engine.db.stats_version
 
-        count = await self._bounded(self.lane.submit(job))
+        count, version = await self._bounded(self.lane.submit(job))
         return 200, {
             "inserted": count,
             "relation": relation,
-            "stats_version": self.engine.db.stats_version,
+            "stats_version": version,
         }
 
     async def _handle_delete(
@@ -585,16 +565,17 @@ class CitationService:
         relation, rows = self._mutation_rows(request)
         engine = self.engine
 
-        def job() -> int:
-            return sum(
+        def job() -> tuple[int, int]:
+            deleted = sum(
                 1 for row in rows if engine.db.delete(relation, *row)
             )
+            return deleted, engine.db.stats_version
 
-        count = await self._bounded(self.lane.submit(job))
+        count, version = await self._bounded(self.lane.submit(job))
         return 200, {
             "deleted": count,
             "relation": relation,
-            "stats_version": self.engine.db.stats_version,
+            "stats_version": version,
         }
 
     async def _handle_stats(
@@ -627,7 +608,6 @@ class CitationService:
                 "subplan_memo": engine.subplan_memo.counters(),
                 "record_cache": engine.record_cache.counters(),
                 "absorption_memo": engine.absorption_memo.counters(),
-                "analysis_cache": self.analysis_cache.counters(),
             },
         }
 

@@ -2,9 +2,9 @@
 
 Every engine cache — the plan cache (both levels), the rewriting cache,
 the sub-plan memo and its reservations, the rendered-record cache, the
-service's analysis cache, the view-inclusion order's containment cache,
-the fixity snapshot and per-version engine caches and the per-column
-order statistics — is a :class:`VersionedLRU`.  Bounding, version
+view-inclusion order's containment cache, the fixity snapshot and
+per-version engine caches and the per-column order statistics — is a
+:class:`VersionedLRU`.  Bounding, version
 checks, hit/miss/eviction counters and the concurrency sanitizer's
 ``stale-cache`` hook therefore live here once instead of once per
 cache, and the ``RL102`` lint requires cache- and memo-named

@@ -1,17 +1,29 @@
 """Tests for the stable-coded query diagnostics (repro.analysis)."""
 
+import importlib
+import sys
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import (
     Diagnostic,
     analyze_query,
     analyze_union,
+    check_relations,
     has_errors,
     render_diagnostics,
 )
+from repro.cq.atoms import ComparisonAtom
 from repro.cq.parser import parse_query
-from repro.cq.ucq import parse_union_query
+from repro.cq.query import ConjunctiveQuery
+from repro.cq.terms import Constant
+from repro.cq.ucq import UnionQuery, parse_union_query
+from repro.errors import ReproError
 from repro.relational.database import Database
+from repro.relational.expressions import ComparisonOp
 from repro.relational.schema import RelationSchema, Schema
 
 
@@ -241,3 +253,100 @@ class TestWorkloadIntegration:
         report = run_workload(engine, ["Q(A) :- Big(A, B), B = 1"])
         assert report.diagnostics == {}
         assert "diagnostics" not in report.describe()
+
+
+def _planner_strategies():
+    """The planner-equivalence suite's query and instance strategies."""
+    sys.path.insert(0, str(Path(__file__).parents[1] / "properties"))
+    try:
+        return importlib.import_module("test_planner_equivalence")
+    finally:
+        sys.path.pop(0)
+
+
+PLANNER = _planner_strategies()
+#: The comparison operators drawn on top of the planner's queries.
+OPS = [ComparisonOp.EQ, ComparisonOp.LT, ComparisonOp.LE]
+#: Union disjuncts draw no NaN constant: QA102's containment test
+#: (``ComparisonClosure``) does not terminate on one.
+UNION_VALUES = st.one_of(
+    st.integers(min_value=0, max_value=4), st.sampled_from(["a", "b"])
+)
+
+
+@st.composite
+def compared_queries(draw, values=PLANNER.MIXED_VALUES):
+    """A planner query with drawn ``=``/``<``/``<=`` comparisons against
+    mixed-type constants, sometimes a contradictory pair among them."""
+    query = draw(PLANNER.queries())
+    variables = sorted({v for atom in query.atoms for v in atom.variables()})
+    if not variables:
+        return query
+    comparisons = list(query.comparisons)
+
+    def compare(var, op, value, flipped):
+        constant = Constant(value)
+        comparisons.append(
+            ComparisonAtom(constant, op, var) if flipped
+            else ComparisonAtom(var, op, constant)
+        )
+
+    for __ in range(draw(st.integers(0, 3))):
+        compare(draw(st.sampled_from(variables)), draw(st.sampled_from(OPS)),
+                draw(values), draw(st.booleans()))
+    if draw(st.booleans()):
+        var = draw(st.sampled_from(variables))
+        first, second = draw(st.lists(values, min_size=2, max_size=2))
+        if draw(st.booleans()):
+            compare(var, ComparisonOp.EQ, first, False)
+            compare(var, ComparisonOp.EQ, second, draw(st.booleans()))
+        else:
+            # var < first together with first <= var.
+            compare(var, ComparisonOp.LT, first, False)
+            compare(var, ComparisonOp.LE, first, True)
+    return ConjunctiveQuery(query.name, query.head, query.atoms, comparisons)
+
+
+@st.composite
+def compared_unions(draw):
+    disjuncts = [
+        draw(compared_queries(UNION_VALUES))
+        for __ in range(draw(st.integers(2, 3)))
+    ]
+    arity = min(len(disjunct.head) for disjunct in disjuncts)
+    return UnionQuery([
+        ConjunctiveQuery(d.name, d.head[:arity], d.atoms, d.comparisons)
+        for d in disjuncts
+    ])
+
+
+def errors(diagnostics):
+    return [d for d in diagnostics if d.severity == "error"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    db=PLANNER.mixed_databases(),
+    query=st.one_of(compared_queries(), compared_unions()),
+)
+def test_refusal_does_not_depend_on_the_database(db, query):
+    """The service refuses a query (422) from ``analyze_*(query)`` alone:
+    the database adds warnings, never an error.  Where the analysis over
+    the database raises (an atom over the planner's virtual ``VR`` is an
+    unknown relation here), ``check_relations`` over the schema raises
+    the same, and nowhere else, so the service's 400 replies do not
+    change; citing alone would not, because the rewriter plans nothing
+    for some queries it proves empty."""
+    analyze = analyze_union if isinstance(query, UnionQuery) else analyze_query
+    alone = analyze(query)
+    try:
+        with_db = analyze(query, db)
+    except ReproError as exc:
+        assert not has_errors(alone)
+        with pytest.raises(ReproError) as checked:
+            check_relations(query, db.schema)
+        assert type(checked.value) is type(exc)
+        assert str(checked.value) == str(exc)
+        return
+    check_relations(query, db.schema)
+    assert errors(with_db) == errors(alone)

@@ -39,7 +39,7 @@ class TestCoalescing:
     def test_queued_cites_coalesce_into_one_batch(self):
         async def go():
             engine = StubEngine()
-            lane = EngineLane(engine, batch_linger_s=0)
+            lane = EngineLane(engine)
             futures = [lane.submit_cite(f"q{i}") for i in range(4)]
             lane.start()
             results = await asyncio.gather(*futures)
@@ -53,7 +53,7 @@ class TestCoalescing:
     def test_max_batch_splits(self):
         async def go():
             engine = StubEngine()
-            lane = EngineLane(engine, max_batch=2, batch_linger_s=0)
+            lane = EngineLane(engine, max_batch=2)
             futures = [lane.submit_cite(f"q{i}") for i in range(5)]
             lane.start()
             await asyncio.gather(*futures)
@@ -66,7 +66,7 @@ class TestCoalescing:
     def test_call_job_breaks_the_batch(self):
         async def go():
             engine = StubEngine()
-            lane = EngineLane(engine, batch_linger_s=0)
+            lane = EngineLane(engine)
             order = []
             first = lane.submit_cite("a")
             call = lane.submit(lambda: order.append("call") or "mid")
@@ -81,27 +81,12 @@ class TestCoalescing:
         assert batches == [["a"], ["b"]]
         assert results == ["cited:a", "mid", "cited:b"]
 
-    def test_linger_waits_for_concurrent_arrivals(self):
-        async def go():
-            engine = StubEngine()
-            lane = EngineLane(engine, batch_linger_s=0.05)
-            lane.start()
-            first = lane.submit_cite("early")
-            # Arrives while the lane lingers on the first job.
-            await asyncio.sleep(0.01)
-            second = lane.submit_cite("late")
-            await asyncio.gather(first, second)
-            await lane.stop()
-            return engine.batches
-
-        assert asyncio.run(go()) == [["early", "late"]]
-
 
 class TestAdmission:
     def test_admission_full(self):
         async def go():
             engine = StubEngine(delay_s=0.2)
-            lane = EngineLane(engine, max_pending=2, batch_linger_s=0)
+            lane = EngineLane(engine, max_pending=2)
             lane.start()
             first = lane.submit_cite("a")
             second = lane.submit_cite("b")
@@ -119,7 +104,7 @@ class TestAdmission:
 
     def test_closed_lane_rejects(self):
         async def go():
-            lane = EngineLane(StubEngine(), batch_linger_s=0)
+            lane = EngineLane(StubEngine())
             lane.start()
             await lane.stop()
             with pytest.raises(LaneClosed):
@@ -132,7 +117,7 @@ class TestAdmission:
     def test_stop_drains_admitted_jobs(self):
         async def go():
             engine = StubEngine(delay_s=0.02)
-            lane = EngineLane(engine, batch_linger_s=0)
+            lane = EngineLane(engine)
             futures = [lane.submit_cite(f"q{i}") for i in range(3)]
             lane.start()
             await lane.stop()
@@ -144,7 +129,7 @@ class TestAdmission:
 class TestErrorsAndTimeouts:
     def test_call_exception_forwarded(self):
         async def go():
-            lane = EngineLane(StubEngine(), batch_linger_s=0)
+            lane = EngineLane(StubEngine())
             lane.start()
 
             def boom():
@@ -162,7 +147,7 @@ class TestErrorsAndTimeouts:
                 raise RuntimeError("engine died")
 
         async def go():
-            lane = EngineLane(FailingEngine(), batch_linger_s=0)
+            lane = EngineLane(FailingEngine())
             first = lane.submit_cite("a")
             second = lane.submit_cite("b")
             lane.start()
@@ -187,7 +172,7 @@ class TestErrorsAndTimeouts:
 
         async def go():
             engine = PickyEngine()
-            lane = EngineLane(engine, batch_linger_s=0)
+            lane = EngineLane(engine)
             lane.start()
             running, release = threading.Event(), threading.Event()
 
@@ -198,7 +183,7 @@ class TestErrorsAndTimeouts:
             blocker = lane.submit(block)
             assert await asyncio.to_thread(running.wait, 5.0)
             # Both cites queue behind the running job, so they coalesce
-            # into one batch without any linger.
+            # into one batch.
             good = lane.submit_cite("good")
             bad = lane.submit_cite("bad")
             release.set()
@@ -218,7 +203,7 @@ class TestErrorsAndTimeouts:
     def test_timeout_abandons_waiter_not_job(self):
         async def go():
             engine = StubEngine(delay_s=0.1)
-            lane = EngineLane(engine, batch_linger_s=0)
+            lane = EngineLane(engine)
             lane.start()
             future = lane.submit_cite("slow")
             with pytest.raises(asyncio.TimeoutError):
@@ -232,7 +217,7 @@ class TestErrorsAndTimeouts:
 
     def test_wait_bounded_without_timeout(self):
         async def go():
-            lane = EngineLane(StubEngine(), batch_linger_s=0)
+            lane = EngineLane(StubEngine())
             lane.start()
             result = await wait_bounded(lane.submit_cite("q"), None)
             await lane.stop()

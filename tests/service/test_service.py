@@ -1,6 +1,8 @@
 """Integration tests: the full HTTP service over a warm engine."""
 
 import json
+import threading
+import time
 
 import pytest
 
@@ -15,6 +17,23 @@ VGIC = 'Q(N) :- Family(F, N, Ty), Ty = "vgic"'
 JOIN = 'Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx)'
 UNION = GPCR + " ; " + VGIC
 EMPTY = 'Q(N) :- Family(F, N, Ty), Ty = "a", Ty = "b"'
+
+
+@pytest.fixture
+def trips(service, monkeypatch):
+    """The lane jobs made: ``"cite"`` per ``submit_cite`` call, ``"call"``
+    per ``submit`` call."""
+    lane = service.service.lane
+    made = []
+    for name, kind in (("submit", "call"), ("submit_cite", "cite")):
+        submit = getattr(lane, name)
+
+        def counted(*args, _submit=submit, _kind=kind):
+            made.append(_kind)
+            return _submit(*args)
+
+        monkeypatch.setattr(lane, name, counted)
+    return made
 
 
 class TestCite:
@@ -69,6 +88,22 @@ class TestCite:
         assert reply.data["error"] == "query provably returns no rows"
         assert reply.data["diagnostics"]
 
+    @pytest.mark.parametrize("text", [
+        "Q(X) :- Nope(X)",
+        # The rewriter proves this empty and plans nothing, yet the
+        # unknown relation is still a 400, decided from the schema.
+        "Q(X) :- Nope(X, Y), X < Y, Y < X",
+        'Q(N) :- Family(F, N, Ty), Ty = "gpcr"; Q(X) :- Nope(X)',
+    ])
+    def test_unknown_relation_in_query_is_400(self, client, trips, text):
+        reply = client.cite(text)
+        assert reply.status == 400
+        assert reply.data == {
+            "error": "unknown relation: 'Nope'",
+            "kind": "UnknownRelationError",
+        }
+        assert trips == []
+
     def test_parse_error_is_400(self, client):
         reply = client.cite("this is not datalog")
         assert reply.status == 400
@@ -117,30 +152,6 @@ class TestCiteBatch:
     def test_not_a_list_is_400(self, client):
         reply = client.post("/cite-batch", {"queries": "just one"})
         assert reply.status == 400
-
-    @pytest.fixture
-    def trips(self, service, monkeypatch):
-        """The lane jobs (``submit`` and ``submit_cite`` calls) made."""
-        lane = service.service.lane
-        made = []
-        for name in ("submit", "submit_cite"):
-            submit = getattr(lane, name)
-
-            def counted(*args, _submit=submit):
-                made.append(args)
-                return _submit(*args)
-
-            monkeypatch.setattr(lane, name, counted)
-        return made
-
-    def test_cold_batch_makes_two_lane_trips(self, client, trips):
-        reply = client.cite_batch([GPCR, VGIC, JOIN])
-        assert reply.status == 200
-        # One job analyses the three uncached queries, one cites them.
-        assert len(trips) == 2
-        # Warm, the analyses are cached: only the cite job is left.
-        assert client.cite_batch([GPCR, VGIC, JOIN]).status == 200
-        assert len(trips) == 3
 
     def test_empty_member_is_refused_after_one_trip(self, client, trips):
         reply = client.cite_batch([GPCR, EMPTY, VGIC])
@@ -195,6 +206,45 @@ class TestPlanAndAnalyze:
         assert any(code.startswith("QA2") for code in codes)
 
 
+class TestLaneJobs:
+    """Each request is one lane job; only a refused query pays one
+    for the database-backed findings its 422 lists."""
+
+    def test_cold_cite_is_one_cite_job(self, client, trips):
+        assert client.cite(GPCR).status == 200
+        assert client.cite(UNION).status == 200
+        assert trips == ["cite", "cite"]
+
+    def test_refused_cite_is_one_call_job_and_never_cites(
+        self, client, trips, fresh_engine, monkeypatch
+    ):
+        cited = []
+        monkeypatch.setattr(
+            fresh_engine, "cite_batch",
+            lambda queries: cited.append(queries),
+        )
+        reply = client.cite(EMPTY)
+        assert reply.status == 422
+        assert reply.data["diagnostics"]
+        assert trips == ["call"]
+        assert cited == []
+
+    def test_cold_batch_is_one_lane_job(self, client, trips):
+        reply = client.cite_batch([GPCR, VGIC, JOIN])
+        assert reply.status == 200
+        assert trips == ["call"]
+        assert client.cite_batch([GPCR, VGIC, JOIN]).status == 200
+        assert trips == ["call", "call"]
+
+    def test_plan_and_analyze_are_one_job_each(self, client, trips):
+        assert client.plan(GPCR).status == 200
+        assert trips == ["call"]
+        assert client.plan(EMPTY).status == 422
+        assert trips == ["call"] * 2
+        assert client.analyze(GPCR).status == 200
+        assert trips == ["call"] * 3
+
+
 def fresh_citation(engine, query):
     """``query``'s citation from a new engine over ``engine``'s data."""
     registry = paper_registry()
@@ -229,6 +279,74 @@ class TestMutations:
         version = client.stats()["engine"]["stats_version"]
         reply = client.insert("Family", [["F9998", "X", "gpcr"]])
         assert reply.data["stats_version"] > version
+
+    def test_queued_writes_report_their_own_version(
+        self, service, client, fresh_engine, monkeypatch
+    ):
+        """Writes queued behind a running lane job each report the
+        stats_version their own job left, not the one the lane reached
+        by the time the reply was written."""
+        db = fresh_engine.db
+        seen = {}
+        insert_all, delete = db.insert_all, db.delete
+
+        def recorded_insert_all(relation, rows):
+            inserted = insert_all(relation, rows)
+            seen["insert", rows[0][0]] = db.stats_version
+            return inserted
+
+        def recorded_delete(relation, *values):
+            deleted = delete(relation, *values)
+            seen["delete", values[0]] = db.stats_version
+            return deleted
+
+        monkeypatch.setattr(db, "insert_all", recorded_insert_all)
+        monkeypatch.setattr(db, "delete", recorded_delete)
+        original = fresh_engine.cite_batch
+        occupied, release = threading.Event(), threading.Event()
+
+        def held_cite_batch(queries):
+            occupied.set()
+            release.wait(30.0)
+            return original(queries)
+
+        monkeypatch.setattr(fresh_engine, "cite_batch", held_cite_batch)
+        writes = [("insert", f"F900{i}") for i in range(3)]
+        writes.append(("delete", "F9001"))
+        replies = {}
+
+        def run(op, key):
+            writer = ServiceClient(service.base_url)
+            send = writer.insert if op == "insert" else writer.delete_rows
+            try:
+                replies[op, key] = send(
+                    "Family", [[key, f"Queued {key}", "gpcr"]]
+                )
+            finally:
+                writer.close()
+
+        threads = [threading.Thread(target=client.cite, args=(GPCR,))]
+        threads[0].start()
+        try:
+            assert occupied.wait(5.0)
+            for position, write in enumerate(writes, start=2):
+                threads.append(threading.Thread(target=run, args=write))
+                threads[-1].start()
+                # Queue the writes in a known order behind the held job.
+                deadline = time.monotonic() + 5.0
+                while (
+                    service.service.lane.outstanding < position
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.005)
+            release.set()
+            for thread in threads:
+                thread.join(timeout=10.0)
+        finally:
+            release.set()
+        versions = [replies[write].data["stats_version"] for write in writes]
+        assert versions == [seen[write] for write in writes]
+        assert versions == sorted(set(versions))
 
     def test_warm_caches_survive_mutation(self, client):
         """Graceful invalidation: plan-cache entries are not dropped
@@ -266,18 +384,6 @@ class TestMutations:
         assert added == fresh_citation(fresh_engine, text)
         client.delete_rows("FC", [["11", "p11"]])
         assert client.cite(text).data == before
-
-    def test_write_keeps_analyses_of_other_relations_warm(self, client):
-        committee = 'Q(Pn) :- FC(F, C), Person(C, Pn, A), F = "11"'
-        client.analyze(committee)
-        client.analyze(GPCR)
-        client.insert("Family", [["F9997", "Y", "gpcr"]])
-        counters = client.stats()["engine"]["analysis_cache"]
-        client.analyze(committee)
-        client.analyze(GPCR)
-        after = client.stats()["engine"]["analysis_cache"]
-        assert after["hits"] == counters["hits"] + 1
-        assert after["misses"] == counters["misses"] + 1
 
     def test_unknown_relation_is_400(self, client):
         reply = client.insert("Nonexistent", [["x"]])
@@ -339,7 +445,7 @@ class TestStatsAndHealth:
         assert set(stats) == {"service", "admission", "engine"}
         engine = stats["engine"]
         for cache in ("plan_cache", "rewriting_cache", "subplan_memo",
-                      "record_cache", "absorption_memo", "analysis_cache"):
+                      "record_cache", "absorption_memo"):
             assert {"hits", "misses", "evictions", "size"} <= set(
                 engine[cache]
             )

@@ -149,9 +149,9 @@ class TestSaturation:
             client = ServiceClient(handle.base_url)
             try:
                 # Wait until the slow job actually occupies the lane;
-                # the occupier's analyze also primed the service-side
-                # analysis cache, so the probe goes straight to cite
-                # admission — and bounces off the full queue.
+                # the probe's refusal check takes no lane job, so the
+                # probe goes straight to cite admission — and bounces
+                # off the full queue.
                 assert occupied.wait(5.0)
                 reply = client.request("POST", "/cite",
                                        {"query": GPCR})
@@ -182,7 +182,7 @@ class TestInvalidationRace:
             return original(queries, *args, **kwargs)
 
         engine.cite_batch = slow_cite_batch
-        config = ServiceConfig(port=0, batch_linger_s=0)
+        config = ServiceConfig(port=0)
         with ServiceThread(engine, config) as handle:
             results = {}
 
@@ -224,18 +224,27 @@ class TestInvalidationRace:
 
 class TestCrossClientBatching:
     def test_concurrent_cites_coalesce(self):
-        """Concurrent single-query clients share one engine batch —
-        visible as batches_executed < requests in /stats."""
-        config = ServiceConfig(port=0, batch_linger_s=0.1)
+        """Single-query clients that queue behind a running lane job
+        share one engine batch — visible as batches_executed < requests
+        in /stats."""
+        engine = fresh_engine()
+        original = engine.cite_batch
+        occupied, release = threading.Event(), threading.Event()
+
+        def held_cite_batch(queries):
+            if not occupied.is_set():
+                occupied.set()
+                release.wait(30.0)
+            return original(queries)
+
+        engine.cite_batch = held_cite_batch
         clients = 4
-        with ServiceThread(fresh_engine(), config) as handle:
-            barrier = threading.Barrier(clients)
+        with ServiceThread(engine) as handle:
             statuses = []
 
             def one_client():
                 client = ServiceClient(handle.base_url)
                 try:
-                    barrier.wait(5.0)
                     statuses.append(client.cite(GPCR).status)
                 finally:
                     client.close()
@@ -244,14 +253,25 @@ class TestCrossClientBatching:
                 threading.Thread(target=one_client)
                 for __ in range(clients)
             ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=15.0)
+            threads[0].start()
             observer = ServiceClient(handle.base_url)
             try:
+                assert occupied.wait(5.0)
+                for thread in threads[1:]:
+                    thread.start()
+                # The other clients queue behind the held batch.
+                deadline = time.monotonic() + 5.0
+                while (
+                    observer.stats()["admission"]["outstanding"] < clients
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.01)
+                release.set()
+                for thread in threads:
+                    thread.join(timeout=15.0)
                 batching = observer.stats()["service"]["batching"]
             finally:
+                release.set()
                 observer.close()
         assert statuses == [200] * clients
         assert batching["batched_requests"] == clients
@@ -266,19 +286,17 @@ class TestCrossClientBatching:
         bad = "lambda X. Q(N) :- Family(X, N, Ty)"
         engine = fresh_engine()
         original = engine.cite_batch
-        hold, occupied, release = (
-            threading.Event(), threading.Event(), threading.Event()
-        )
+        occupied, release = threading.Event(), threading.Event()
 
         def held_cite_batch(queries):
-            if hold.is_set() and not occupied.is_set():
+            if not occupied.is_set():
                 occupied.set()
                 release.wait(30.0)
             return original(queries)
 
         engine.cite_batch = held_cite_batch
         expected = fresh_engine().cite(GPCR).citation()
-        config = ServiceConfig(port=0, batch_linger_s=0)
+        config = ServiceConfig(port=0)
         with ServiceThread(engine, config) as handle:
             replies = {}
 
@@ -289,12 +307,6 @@ class TestCrossClientBatching:
                 finally:
                     client.close()
 
-            # Warm both analyses, so the two cites below go straight to
-            # the lane's queue.
-            cite("good", GPCR)
-            cite("bad", bad)
-            assert replies["bad"].status == 400
-            hold.set()
             threads = [
                 threading.Thread(target=cite, args=("occupier", VGIC))
             ]
@@ -307,7 +319,9 @@ class TestCrossClientBatching:
                         threading.Thread(target=cite, args=(name, text))
                     )
                     threads[-1].start()
-                # Both wait behind the held batch, so they coalesce.
+                # Neither is refused, which the handler decides without
+                # a lane job, so both go straight to the lane's queue
+                # and wait behind the held batch: they coalesce.
                 deadline = time.monotonic() + 5.0
                 while (
                     observer.stats()["admission"]["outstanding"] < 3

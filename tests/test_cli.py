@@ -283,6 +283,13 @@ class TestAnalyze:
         assert main(["cite", str(project), self.EMPTY_RANGE]) == 3
         assert "QA202" in capsys.readouterr().err
 
+    def test_cite_rejects_unknown_relation_the_rewriter_proves_empty(
+        self, project, capsys
+    ):
+        text = "Q(X) :- Nope(X, Y), X < Y, Y < X"
+        assert main(["cite", str(project), text]) == 2
+        assert "unknown relation: 'Nope'" in capsys.readouterr().err
+
     def test_cite_batch_analyze_flag_reports_counters(
         self, project, tmp_path, capsys
     ):
