@@ -15,7 +15,7 @@ from collections import Counter
 
 import pytest
 
-from repro.citation import generator
+from repro.citation import combiners, generator
 from repro.citation.generator import CitationEngine
 from repro.citation.order import (
     FewestUncoveredOrder,
@@ -184,8 +184,12 @@ def test_e7_type_wide_plus_r_memo(registry, quick, monkeypatch):
     """Section 3.4 once per tuple shape: the intro citation of the
     largest type under the focused policy equals the same chain asked
     for every tuple, with at most one ``best_polynomials`` or
-    ``normal_form`` call per distinct shape cold and none warm.  These
-    are counts of the generator's calls, not timings."""
+    ``normal_form`` call per distinct shape cold and none warm.  Each
+    distinct value is built once per citation: the absorption memo is
+    asked once per distinct vector of per-rewriting polynomials, a
+    monomial built once per distinct λ-valuation of each kept
+    rewriting, and ``+`` run once per distinct combined polynomial.
+    These are counts of the generator's calls, not timings."""
     families = 450 if quick else 2000
     db = GtopdbGenerator(
         families=families, persons=families // 2, types=10
@@ -214,17 +218,58 @@ def test_e7_type_wide_plus_r_memo(registry, quick, monkeypatch):
             return _absorb(polynomials, order)
 
         monkeypatch.setattr(generator, name, counted)
+    built = []
+    build = CitationEngine._binding_monomial
+
+    def counted_monomial(self, rewriting, binding):
+        monomial = build(self, rewriting, binding)
+        built.append((rewriting, monomial))
+        return monomial
+
+    monkeypatch.setattr(CitationEngine, "_binding_monomial", counted_monomial)
+    pluses = []
+    plus = combiners.PLUS_INTERPRETATIONS["union"]
+
+    def counted_plus(alternatives, key):
+        pluses.append(alternatives)
+        return plus(alternatives, key)
+
+    monkeypatch.setitem(combiners.PLUS_INTERPRETATIONS, "union", counted_plus)
     engine = CitationEngine(db, registry, policy=policy)
     cold = engine.cite(text)
     assert calls and None not in {shape for __, shape in calls}
     assert len(set(calls)) == len(calls), "a shape was decided twice"
-    tuples = len(cold.tuples)
     cold_calls = len(calls)
     del calls[:]
+    made = [(built[:], len(pluses))]
+    del built[:], pluses[:]
     warm = engine.cite(text)
     assert calls == []
+    made.append((built[:], len(pluses)))
+    kept = [
+        position for position in range(len(cold.rewritings))
+        if position not in cold.pruned
+    ]
+    for result, (monomials, plus_calls) in zip((cold, warm), made):
+        # Read after the counts: per_rewriting computes the skipped
+        # rewritings, monomial by monomial.
+        valuations = {
+            (id(result.rewritings[position]), monomial)
+            for tc in result.tuples.values()
+            for position in kept
+            for monomial in tc.per_rewriting[position].terms
+        }
+        assert len(monomials) == len(valuations)
+        assert {(id(r), m) for r, m in monomials} == valuations
+        assert plus_calls == len({
+            tc.polynomial for tc in result.tuples.values()
+        })
     assert snapshot(cold) == expected
     assert snapshot(warm) == expected
+    vectors = {
+        tuple(tc.per_rewriting[position] for position in kept)
+        for tc in cold.tuples.values()
+    }
     memo = engine.absorption_memo.counters()
     assert memo["misses"] == memo["size"] == cold_calls
-    assert memo["hits"] == 4 * tuples - cold_calls
+    assert memo["hits"] + memo["misses"] == 4 * len(vectors)

@@ -9,24 +9,32 @@ The :class:`CitationEngine` pipeline:
    rewritings are validated, only those of the best rank go on
    (:meth:`CitationEngine._pruned`);
 3. evaluate each remaining rewriting (views materialized into the
-   engine's view store) and build, per output tuple and per binding,
-   the ``·``-monomial of view citation tokens and ``C_R`` tokens
-   (Def 3.1), summed over bindings into a per-rewriting polynomial
-   (Def 3.2); a skipped rewriting's polynomials are computed when
-   :attr:`TupleCitation.per_rewriting` is first read;
+   engine's view store) and build, per output tuple, the
+   ``·``-monomial of view citation tokens and ``C_R`` tokens of each
+   binding (Def 3.1), summed over its bindings into a per-rewriting
+   polynomial (Def 3.2).  A monomial is a function of the binding's
+   λ-valuation, so each distinct valuation builds one monomial and each
+   distinct term list one polynomial, which the other bindings and
+   tuples reuse by identity; a skipped rewriting's polynomials are
+   computed when :attr:`TupleCitation.per_rewriting` is first read;
 4. combine the per-rewriting polynomials with ``+R`` (Def 3.3) — union
    (the formal, plan-independent semantics) or order-based absorption
-   ("best", Section 3.4) according to the policy; an order that
-   decides by shape is asked once per tuple shape, and its decision is
-   replayed on later tuples of that shape
-   (:attr:`CitationEngine.absorption_memo`);
+   ("best", Section 3.4) according to the policy — once per distinct
+   vector of per-rewriting polynomials; an order that decides by shape
+   is asked once per tuple shape, and its decision is replayed on later
+   tuples of that shape (:attr:`CitationEngine.absorption_memo`);
 5. aggregate per-tuple citations with ``Agg`` (Def 3.4), injecting the
    neutral-element database citation;
 6. render the symbolic citation into records via the views' citation
    functions ``F_V`` and the policy's record-level interpretations of
-   ``·``/``+``/``Agg`` — once per call, not once per output tuple: each
-   distinct token's record, each distinct monomial's ``·`` and each
+   ``·``/``+``/``Agg`` — once per distinct value of one call, not once
+   per output tuple: each distinct token's record, each distinct
+   monomial's ``·``, each distinct tuple polynomial's ``+`` and each
    distinct record's dedup key are computed once (:class:`_Rendering`).
+
+Every such memo lives for one query of one
+:meth:`CitationEngine.cite_batch` call, so it holds nothing between
+calls.
 
 A union of conjunctive queries (SPJU's U, Section 3.1) runs steps 1–4
 per disjunct and combines a tuple's citations with ``+`` across the
@@ -42,8 +50,9 @@ cached records (:meth:`CitationEngine.rows_changed`).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, NamedTuple
 
 from repro.analysis import sanitizer as _sanitizer
@@ -109,6 +118,41 @@ TuplePolynomials = dict[
     tuple[Any, ...],
     tuple[tuple[CitationPolynomial | None, ...], CitationPolynomial],
 ]
+#: Value types whose equal values, type for type, share one ``repr``.
+_PLAIN_TYPES = frozenset({str, int, bool, type(None)})
+
+
+def _valuation_reader(
+    rewriting: Rewriting,
+) -> Callable[[dict[Variable, Any]], tuple[Any, ...]]:
+    """A binding's λ-valuation under ``rewriting`` as a dict key: the
+    values of its view applications' parameter variables, in
+    application order (Def 3.1; the constants are the rewriting's own).
+
+    The key keeps apart values that compare equal but render
+    differently in a token: ``1``, ``1.0`` and ``True`` by their types,
+    ``0.0`` and ``-0.0`` (and any value of another type) by their
+    ``repr``.  A NaN equals no other NaN object, so it only misses.
+    """
+    variables = [
+        term
+        for application in rewriting.applications
+        for term in application.parameter_terms
+        if isinstance(term, Variable)
+    ]
+    if not variables:
+        return lambda binding: ()
+    read = itemgetter(*variables)
+    single = len(variables) == 1
+
+    def valuation(binding: dict[Variable, Any]) -> tuple[Any, ...]:
+        values = (read(binding),) if single else read(binding)
+        types = tuple(map(type, values))
+        if _PLAIN_TYPES.issuperset(types):
+            return values, types
+        return values, types, tuple(map(repr, values))
+
+    return valuation
 
 
 class PrunedRewriting(NamedTuple):
@@ -303,9 +347,12 @@ class _Rendering:
     whole result through one instance, which memoizes for that query
     only: each distinct token's record (its view's ``F_V``) enters once,
     each distinct monomial is combined with the policy's ``·`` once —
-    per ``(monomial, coefficient)`` pair under ``plus="counted"`` — and
-    each distinct record's dedup key is computed once.  ``+``, ``Agg``
-    and the neutral element then deduplicate on those keys.
+    per ``(monomial, coefficient)`` pair under ``plus="counted"`` —,
+    each tuple polynomial *object* with ``+`` once (the engine shares
+    one object among the tuples with equal per-rewriting polynomials,
+    and each tuple still gets a list of its own), and each distinct
+    record's dedup key is computed once.  ``+``, ``Agg`` and the
+    neutral element then deduplicate on those keys.
 
     Keys stay content-based (canonical JSON): two different monomials
     can render equal records, so token identity alone would keep
@@ -324,6 +371,9 @@ class _Rendering:
         self._policy = engine.policy
         self._tokens: dict[CitationToken, Record] = {}
         self._monomials: dict[tuple[CitationMonomial, int], list[Record]] = {}
+        self._polynomials: dict[
+            int, tuple[CitationPolynomial, list[Record]]
+        ] = {}
         self._keys: dict[int, tuple[Record, str]] = {}
 
     def key(self, record: Record) -> str:
@@ -365,14 +415,21 @@ class _Rendering:
 
     def polynomial(self, polynomial: CitationPolynomial) -> list[Record]:
         """``+`` over the polynomial's monomial records: one output
-        tuple's records."""
-        return self._policy.plus_combiner(
-            [
-                self._monomial(monomial, coefficient)
-                for monomial, coefficient in polynomial.terms.items()
-            ],
-            key=self.key,
-        )
+        tuple's records, in a list of its own.  ``+`` runs once per
+        polynomial object."""
+        entry = self._polynomials.get(id(polynomial))
+        if entry is None:
+            entry = self._polynomials[id(polynomial)] = (
+                polynomial,
+                self._policy.plus_combiner(
+                    [
+                        self._monomial(monomial, coefficient)
+                        for monomial, coefficient in polynomial.terms.items()
+                    ],
+                    key=self.key,
+                ),
+            )
+        return list(entry[1])
 
     def aggregate(
         self, per_tuple: list[list[Record]]
@@ -424,6 +481,14 @@ class CitationEngine:
     serve every rewriting of every query and follow each row change.
     Within the engine's life a view's version names one extension:
     re-materializing a view moves its version past every version it had.
+
+    Within one citation, each distinct value is built once and shared
+    by identity: one monomial per distinct λ-valuation of a rewriting
+    (Def 3.1), one polynomial per distinct term list (Def 3.2), one
+    ``+R`` and normal form per distinct vector of per-rewriting
+    polynomials (Def 3.3) and one ``+`` rendering per distinct tuple
+    polynomial.  These memos die with the citation and never enter the
+    engine's caches.
     """
 
     def __init__(
@@ -727,15 +792,46 @@ class CitationEngine:
     def _rewriting_polynomials(
         self, rewriting: Rewriting, plan: QueryPlan | None = None
     ) -> dict[tuple[Any, ...], CitationPolynomial]:
-        """Def 3.2: per-tuple polynomials for one rewriting."""
+        """Def 3.2: per-tuple polynomials for one rewriting.
+
+        A binding's monomial is a function of its λ-valuation (Def 3.1),
+        so each distinct valuation builds one monomial, which every
+        later binding with that valuation reuses.  A tuple's term list
+        is then its monomials by identity, with their binding counts, in
+        first-derivation order, and tuples with equal term lists share
+        one polynomial.
+        """
         grouped = self._bindings(rewriting, plan)
+        valuation = _valuation_reader(rewriting)
+        monomials: dict[Any, CitationMonomial] = {}
+        #: Every monomial built, by id: it stays alive here, so no id
+        #: is reused while the loop runs.
+        interned: dict[int, CitationMonomial] = {}
+        polynomials: dict[tuple[tuple[int, int], ...], CitationPolynomial] = {}
         result: dict[tuple[Any, ...], CitationPolynomial] = {}
         for output, bindings in grouped.items():
-            terms: dict[CitationMonomial, int] = {}
+            counts: dict[int, int] = {}
             for binding in bindings:
-                monomial = self._binding_monomial(rewriting, binding)
-                terms[monomial] = terms.get(monomial, 0) + 1
-            result[output] = ProvenancePolynomial(terms)
+                key = valuation(binding)
+                monomial = monomials.get(key)
+                if monomial is None:
+                    monomial = monomials[key] = self._binding_monomial(
+                        rewriting, binding
+                    )
+                    interned[id(monomial)] = monomial
+                identity = id(monomial)
+                counts[identity] = counts.get(identity, 0) + 1
+            term_list = tuple(counts.items())
+            polynomial = polynomials.get(term_list)
+            if polynomial is None:
+                terms: dict[CitationMonomial, int] = {}
+                for identity, count in term_list:
+                    monomial = interned[identity]
+                    terms[monomial] = terms.get(monomial, 0) + count
+                polynomial = polynomials[term_list] = ProvenancePolynomial(
+                    terms
+                )
+            result[output] = polynomial
         return result
 
     def _combine_rewritings(
@@ -841,6 +937,10 @@ class CitationEngine:
         equivalent kept rewritings derive the same tuples (Def 2.2), so
         its plan is evaluated for their order alone, and only when there
         are two or more.
+
+        Tuples whose per-rewriting polynomials are the same objects
+        share one entry, so ``+R`` and the normal form run once per
+        distinct vector.
         """
         rewritings, kept, plans, __ = disjunct
         evaluated = [
@@ -854,19 +954,26 @@ class CitationEngine:
         for source in sources:
             for output in source:
                 outputs.setdefault(output)
+        # The polynomials stay alive in ``evaluated``, so their ids name
+        # them for the whole loop.
+        entries: dict[tuple[int, ...], Any] = {}
         result: TuplePolynomials = {}
         for output in outputs:
             polynomials = [
                 per_tuple.get(output, _ZERO) for per_tuple in evaluated
             ]
-            aligned: list[CitationPolynomial | None] = [None] * len(
-                rewritings
-            )
-            for position, polynomial in zip(kept, polynomials):
-                aligned[position] = polynomial
-            result[output] = (
-                tuple(aligned), self._combine_rewritings(polynomials)
-            )
+            identity = tuple(map(id, polynomials))
+            entry = entries.get(identity)
+            if entry is None:
+                aligned: list[CitationPolynomial | None] = [None] * len(
+                    rewritings
+                )
+                for position, polynomial in zip(kept, polynomials):
+                    aligned[position] = polynomial
+                entry = entries[identity] = (
+                    tuple(aligned), self._combine_rewritings(polynomials)
+                )
+            result[output] = entry
         return result
 
     def _assemble(
@@ -890,7 +997,11 @@ class CitationEngine:
             )
             for output, (aligned, combined) in polynomials.items()
         }
-        aggregate = self._plus([tc.polynomial for tc in tuples.values()])
+        combined = [tc.polynomial for tc in tuples.values()]
+        if self.policy.idempotent_plus:
+            # A repeated polynomial object adds nothing to a union.
+            combined = list({id(p): p for p in combined}.values())
+        aggregate = self._plus(combined)
         if self.policy.order is not None:
             aggregate = absorbing_sum([aggregate], self.policy.order)
         records, database_citation = rendering.aggregate(
@@ -948,8 +1059,9 @@ class CitationEngine:
         """Compute ``cite(D, Q, V)`` — the paper's Defs 3.1–3.4, end to end.
 
         Enumerates the Def 2.2 rewritings of the query, builds one
-        ``·``-monomial per binding (Def 3.1), sums them into per-tuple,
-        per-rewriting polynomials (Def 3.2), combines the rewritings with
+        ``·``-monomial per distinct λ-valuation of a binding (Def 3.1),
+        sums them into per-tuple, per-rewriting polynomials (Def 3.2),
+        combines the rewritings with
         ``+R`` (Def 3.3 / Section 3.4 "best"), and aggregates across the
         result set with ``Agg`` (Def 3.4).  A union's tuple is cited by
         ``+`` over the disjuncts that derive it.  This is
@@ -1196,28 +1308,37 @@ class CitationEngine:
             for output in polynomials:
                 outputs.setdefault(output)
 
+        # Tuples that take the same entry object from every disjunct
+        # (None where a disjunct does not produce them) share one entry;
+        # the entries stay alive in ``disjuncts``.
+        entries: dict[tuple[int, ...], Any] = {}
         tuples: TuplePolynomials = {}
         for output in outputs:
-            combined = self._plus([
-                polynomials[output][1]
-                for __, polynomials in disjuncts
-                if output in polynomials
-            ])
-            if self.policy.order is not None:
-                combined = self._normal_form(combined, self.policy.order)
-            # Keep per_rewriting aligned with the concatenated rewriting
-            # list: a disjunct that does not produce this tuple
-            # contributes zero polynomials for each of its rewritings.
-            per_rewriting = tuple(
-                polynomial
-                for disjunct, polynomials in disjuncts
-                for polynomial in (
-                    polynomials[output][0]
-                    if output in polynomials
-                    else (_ZERO,) * len(disjunct.rewritings)
+            derived = [
+                polynomials.get(output) for __, polynomials in disjuncts
+            ]
+            identity = tuple(map(id, derived))
+            entry = entries.get(identity)
+            if entry is None:
+                combined = self._plus([
+                    pair[1] for pair in derived if pair is not None
+                ])
+                if self.policy.order is not None:
+                    combined = self._normal_form(combined, self.policy.order)
+                # Keep per_rewriting aligned with the concatenated
+                # rewriting list: a disjunct that does not produce this
+                # tuple contributes zero polynomials for each of its
+                # rewritings.
+                per_rewriting = tuple(
+                    polynomial
+                    for (disjunct, __), pair in zip(disjuncts, derived)
+                    for polynomial in (
+                        pair[0] if pair is not None
+                        else (_ZERO,) * len(disjunct.rewritings)
+                    )
                 )
-            )
-            tuples[output] = (per_rewriting, combined)
+                entry = entries[identity] = (per_rewriting, combined)
+            tuples[output] = entry
 
         rewritings: list[Rewriting] = []
         pruned: dict[int, PrunedRewriting] = {}

@@ -209,6 +209,15 @@ class MonomialOrder:
         order: what Section 3.4's normal form keeps."""
         return _undominated(monomials, self.strictly_less)
 
+    def _among(self, monomials: Sequence[CitationMonomial]) -> tuple[
+        Callable[[Sequence[CitationMonomial]], list[CitationMonomial]],
+        Callable[[CitationMonomial, CitationMonomial], bool],
+    ]:
+        """:meth:`maximal` and :meth:`leq` for one call that compares
+        only ``monomials`` and their subsets: an order that derives
+        something per monomial before comparing derives it once here."""
+        return self.maximal, self.leq
+
 
 class CountOrder(MonomialOrder):
     """Rank monomials by a count, lower preferred.
@@ -349,7 +358,35 @@ class ViewInclusionOrder(MonomialOrder):
         strictly finer view, or (for a ``C_R`` token) any view token.
         An inverted index built for this call finds those monomials.
         """
-        forms = [self._normal_tokens(monomial) for monomial in monomials]
+        return self._maximal(
+            monomials, [self._normal_tokens(m) for m in monomials]
+        )
+
+    def _among(self, monomials: Sequence[CitationMonomial]) -> tuple[
+        Callable[[Sequence[CitationMonomial]], list[CitationMonomial]],
+        Callable[[CitationMonomial, CitationMonomial], bool],
+    ]:
+        forms = {
+            monomial: self._normal_tokens(monomial)
+            for monomial in dict.fromkeys(monomials)
+        }
+
+        def maximal(
+            subset: Sequence[CitationMonomial],
+        ) -> list[CitationMonomial]:
+            return self._maximal(subset, [forms[m] for m in subset])
+
+        def leq(m1: CitationMonomial, m2: CitationMonomial) -> bool:
+            return self._covers(forms[m1], forms[m2])
+
+        return maximal, leq
+
+    def _maximal(
+        self,
+        monomials: Sequence[CitationMonomial],
+        forms: list[list[CitationToken]],
+    ) -> list[CitationMonomial]:
+        """:meth:`maximal`, given each monomial's normal form."""
         by_token: dict[CitationToken, list[int]] = {}
         by_view: dict[str, list[int]] = {}
         with_views: list[int] = []
@@ -442,10 +479,17 @@ class LexicographicOrder(MonomialOrder):
         self, monomials: Sequence[CitationMonomial]
     ) -> list[CitationMonomial]:
         """Keep each leading count order's best class, then hand the
-        survivors to the remaining levels.
+        survivors to the remaining levels: narrowed by the first of them
+        alone, then compared pairwise, each level deriving what it reads
+        of a monomial once per call.
 
         Exact: a monomial outside a leading level's best class is
-        strictly below every member of that class.
+        strictly below every member of that class.  Past the count
+        levels the survivors are equivalent at every earlier level, so
+        one strictly below another at the next level is strictly below
+        it lexicographically; as strict lexicographic domination is
+        transitive, each monomial dominated among the survivors is also
+        dominated by one of that level's maximal monomials.
         """
         survivors = list(monomials)
         for index, order in enumerate(self._orders):
@@ -455,9 +499,26 @@ class LexicographicOrder(MonomialOrder):
                 rest = self._orders[index:]
                 if len(rest) == 1:
                     return order.maximal(survivors)
-                return _undominated(
-                    survivors, LexicographicOrder(rest).strictly_less
-                )
+                narrow, leq = order._among(survivors)
+                survivors = narrow(survivors)
+                if len(survivors) < 2:
+                    return survivors
+                levels = [leq] + [
+                    level._among(survivors)[1] for level in rest[1:]
+                ]
+
+                def strictly_less(
+                    m1: CitationMonomial, m2: CitationMonomial
+                ) -> bool:
+                    for level_leq in levels:
+                        below = level_leq(m1, m2)
+                        if below != level_leq(m2, m1):
+                            return below
+                        if not below:
+                            return False
+                    return False
+
+                return _undominated(survivors, strictly_less)
             survivors = order.maximal(survivors)
         return survivors
 

@@ -37,6 +37,11 @@ class ComparisonClosure:
     ``<`` / ``<=`` / ``!=`` relations over class representatives, with
     constant comparisons folded in.  Exposes :attr:`satisfiable` and
     :meth:`entails`.
+
+    A comparison against a NaN constant is decided as the evaluator
+    decides it, and never enters the closure: NaN equals and orders
+    against nothing, itself included, so ``!=`` always holds and every
+    other comparison never does.
     """
 
     def __init__(self, comparisons: tuple[ComparisonAtom, ...] = ()) -> None:
@@ -83,6 +88,10 @@ class ComparisonClosure:
     def add(self, comparison: ComparisonAtom) -> None:
         """Record one comparison fact (closure is recomputed lazily)."""
         left, op, right = comparison.left, comparison.op, comparison.right
+        if _is_nan(left) or _is_nan(right):
+            if op is not ComparisonOp.NE:
+                self.satisfiable = False
+            return
         if op is ComparisonOp.EQ:
             self._union(left, right)
         elif op is ComparisonOp.NE:
@@ -195,6 +204,8 @@ class ComparisonClosure:
         """
         if not self.satisfiable:
             return True
+        if _is_nan(comparison.left) or _is_nan(comparison.right):
+            return comparison.op is ComparisonOp.NE
         left = self._find(comparison.left)
         right = self._find(comparison.right)
         op = comparison.op
@@ -233,6 +244,11 @@ class ComparisonClosure:
         )
         refutation = ComparisonClosure(self._atoms + (negated,))
         return not refutation.satisfiable
+
+
+def _is_nan(term: Term) -> bool:
+    """Is ``term`` a constant that is not equal to itself (a NaN)?"""
+    return isinstance(term, Constant) and term.value != term.value
 
 
 def _constant_order(c1: Constant, c2: Constant) -> str | None:

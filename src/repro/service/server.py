@@ -331,14 +331,15 @@ class CitationService:
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         keep_alive = request.keep_alive and not self._draining
         self.metrics.observe_request(endpoint, status, elapsed_ms)
-        logger.info(json.dumps({
-            "event": "request",
-            "method": request.method,
-            "path": request.path,
-            "status": status,
-            "ms": round(elapsed_ms, 2),
-            "outstanding": self.lane.outstanding,
-        }))
+        if logger.isEnabledFor(logging.INFO):
+            logger.info(json.dumps({
+                "event": "request",
+                "method": request.method,
+                "path": request.path,
+                "status": status,
+                "ms": round(elapsed_ms, 2),
+                "outstanding": self.lane.outstanding,
+            }))
         try:
             writer.write(render_response(
                 status, payload, extra_headers=headers,

@@ -1,7 +1,10 @@
 """Tests for the order relations of Section 3.4 (Examples 3.6-3.8)."""
 
+from collections import Counter
+
 import pytest
 
+from repro.citation.generator import CitationEngine
 from repro.citation.order import (
     FewestUncoveredOrder,
     FewestViewsOrder,
@@ -12,11 +15,17 @@ from repro.citation.order import (
     normal_form,
     polynomial_leq,
 )
+from repro.citation.policy import CitationPolicy
+from repro.citation.policy_language import parse_policy
 from repro.citation.polynomial import (
+    idempotent_sum,
     monomial_from_tokens,
     polynomial_from_monomials,
 )
 from repro.citation.tokens import BaseRelationToken, ViewCitationToken
+from repro.gtopdb.generator import GtopdbGenerator
+from repro.gtopdb.views import paper_registry
+from repro.semiring.polynomial import ProvenancePolynomial
 
 
 def vt(name, *params):
@@ -125,6 +134,72 @@ class TestLexicographicOrder:
     def test_all_equivalent_is_leq(self):
         order = LexicographicOrder([FewestViewsOrder()])
         assert order.leq(M2, M4) and order.leq(M4, M2)
+
+
+def pairwise_normal_form(polynomial, order):
+    """Section 3.4's normal form by its definition: every monomial
+    against every other."""
+    monomials = polynomial.monomials()
+    return ProvenancePolynomial({
+        monomial: polynomial.terms[monomial]
+        for monomial in monomials
+        if not any(
+            other != monomial and order.strictly_less(monomial, other)
+            for other in monomials
+        )
+    })
+
+
+class TestPartialOrderFirst:
+    """A chain whose first level is not a count order narrows by that
+    level's own ``maximal`` before comparing the survivors pairwise, and
+    normalizes each monomial once per ``maximal`` call."""
+
+    @pytest.fixture(scope="class")
+    def cited(self):
+        registry = paper_registry()
+        db = GtopdbGenerator(families=40, persons=20, types=3).build()
+        counts = Counter(row[2] for row in db.relation("Family"))
+        largest = max(sorted(counts), key=counts.__getitem__)
+        order = parse_policy(
+            "policy p { plusR = best order = view-inclusion > fewest-views }",
+            registry,
+        ).order
+        engine = CitationEngine(db, registry, policy=CitationPolicy(
+            name="partial first", plus_r="best", order=order,
+        ))
+        result = engine.cite(
+            "Q(N1, N2) :- Family(F1, N1, Ty), Family(F2, N2, Ty), "
+            f'Ty = "{largest}"'
+        )
+        aggregate = idempotent_sum(
+            tc.polynomial for tc in result.tuples.values()
+        )
+        return order, result, aggregate, pairwise_normal_form(
+            aggregate, order
+        )
+
+    def test_matches_all_pairs(self, cited):
+        __, result, aggregate, expected = cited
+        assert (len(result.tuples), len(aggregate.terms)) == (441, 231)
+        assert list(result.aggregate_polynomial.terms.items()) == list(
+            expected.terms.items()
+        )
+
+    def test_normalizes_each_monomial_once(self, cited, monkeypatch):
+        order, __, aggregate, expected = cited
+        calls = Counter()
+        normalize = ViewInclusionOrder._normal_tokens
+
+        def counted(self, monomial):
+            calls[monomial] += 1
+            return normalize(self, monomial)
+
+        monkeypatch.setattr(ViewInclusionOrder, "_normal_tokens", counted)
+        monomials = aggregate.monomials()
+        assert order.maximal(monomials) == expected.monomials()
+        assert set(calls) == set(monomials)
+        assert max(calls.values()) == 1
 
 
 class TestNormalForm:

@@ -1,5 +1,8 @@
 """Tests for containment, equivalence, and the comparison closure."""
 
+import contextlib
+import signal
+
 import pytest
 
 from repro.cq.atoms import ComparisonAtom
@@ -10,10 +13,14 @@ from repro.cq.containment import (
     is_contained_in,
     normalize_query,
 )
+from repro.cq.evaluation import reference_bindings
 from repro.cq.parser import parse_query
+from repro.cq.query import ConjunctiveQuery
 from repro.cq.terms import Constant, Variable
 from repro.errors import ParameterError
+from repro.relational.database import Database
 from repro.relational.expressions import ComparisonOp
+from repro.relational.schema import RelationSchema, Schema
 
 
 def comp(left, op, right):
@@ -107,6 +114,77 @@ class TestComparisonClosure:
         )
         closure = ComparisonClosure(chain)
         assert closure.entails(comp(variables[0], "=", variables[-1]))
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block once ``seconds`` have passed."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestNaNConstants:
+    """A comparison against NaN is decided as the evaluator decides it:
+    NaN equals and orders against nothing, itself included, so ``!=``
+    always holds and every other comparison never does."""
+
+    X4 = Variable("X4")
+
+    @staticmethod
+    def nan():
+        return Constant(float("nan"))
+
+    @staticmethod
+    def database():
+        db = Database(Schema([RelationSchema("T", ["a", "b", "c"])]))
+        db.insert_all("T", [(2, 3, 3), (float("nan"), 3, 3), ("a", 3, 3)])
+        return db
+
+    def query(self, *comparisons):
+        atoms = parse_query("Q(X4) :- T(X4, 3, 3)").atoms
+        return ConjunctiveQuery("Q", (self.X4,), atoms, list(comparisons))
+
+    def test_drawn_query_that_hung_is_unsatisfiable(self):
+        x4 = self.X4
+        query = self.query(
+            comp(x4, ">=", x4), comp(Constant(0), "<=", x4),
+            comp(x4, "<", Constant("a")), comp(x4, "=", self.nan()),
+            comp(x4, "=", self.nan()), comp(Constant(2), "=", x4),
+        )
+        with deadline(5):
+            __, satisfiable = normalize_query(query)
+        assert not satisfiable
+        assert list(reference_bindings(query, self.database())) == []
+
+    @pytest.mark.parametrize("op", ["=", "!=", "<", "<=", ">", ">="])
+    @pytest.mark.parametrize("flipped", [False, True])
+    def test_only_not_equal_is_satisfiable(self, op, flipped):
+        comparison = (comp(self.nan(), op, self.X4) if flipped
+                      else comp(self.X4, op, self.nan()))
+        query = self.query(comparison)
+        with deadline(5):
+            __, satisfiable = normalize_query(query)
+        assert satisfiable == (op == "!=")
+        rows = list(reference_bindings(query, self.database()))
+        assert bool(rows) == satisfiable
+
+    def test_entailment(self):
+        closure = ComparisonClosure((comp(X, "<", Constant(3)),))
+        assert closure.entails(comp(X, "!=", self.nan()))
+        for op in ("=", "<", "<=", ">", ">="):
+            assert not closure.entails(comp(X, op, self.nan()))
+        assert ComparisonClosure((comp(X, "=", self.nan()),)).entails(
+            comp(X, ">", Constant(3))
+        )
 
 
 class TestNormalizeQuery:

@@ -193,6 +193,10 @@ DIFFERENTIAL_ORDERS = [
         "policy p { plusR = best order = view-inclusion > fewest-views }",
         REGISTRY,
     ).order,
+    # A custom partial order first, then view inclusion and a count.
+    LexicographicOrder([
+        FewerFactorsOrder(), ViewInclusionOrder(REGISTRY), FewestViewsOrder(),
+    ]),
 ]
 orders = st.sampled_from(DIFFERENTIAL_ORDERS)
 

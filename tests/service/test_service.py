@@ -1,6 +1,7 @@
 """Integration tests: the full HTTP service over a warm engine."""
 
 import json
+import logging
 import threading
 import time
 
@@ -10,7 +11,12 @@ from repro.citation.generator import CitationEngine
 from repro.citation.policy import focused_policy
 from repro.gtopdb.sample import paper_database
 from repro.gtopdb.views import paper_registry
-from repro.service import ServiceClient, ServiceConfig, ServiceThread
+from repro.service import (
+    ServiceClient,
+    ServiceConfig,
+    ServiceThread,
+    server,
+)
 
 GPCR = 'Q(N) :- Family(F, N, Ty), Ty = "gpcr"'
 VGIC = 'Q(N) :- Family(F, N, Ty), Ty = "vgic"'
@@ -533,3 +539,43 @@ class TestServiceThreadLifecycle:
         second = client.cite(GPCR)
         assert first.body == second.body
         assert json.loads(first.body) == first.data
+
+
+class TestRequestLog:
+    """Each request's log line is encoded only when INFO is logged."""
+
+    @pytest.fixture
+    def encoded(self, monkeypatch):
+        """The records the server module encodes for its log lines."""
+        records = []
+
+        class CountingJson:
+            @staticmethod
+            def dumps(record):
+                records.append(record)
+                return json.dumps(record)
+
+        monkeypatch.setattr(server, "json", CountingJson())
+        return records
+
+    def test_line_unchanged_with_info(self, client, encoded, caplog):
+        caplog.set_level(logging.INFO, logger="repro.service")
+        assert client.cite(GPCR).status == 200
+        (record,) = encoded
+        (line,) = [r.getMessage() for r in caplog.records
+                   if r.name == "repro.service"]
+        assert line == json.dumps(record)
+        assert list(record) == [
+            "event", "method", "path", "status", "ms", "outstanding",
+        ]
+        assert record["event"] == "request"
+        assert (record["method"], record["path"], record["status"]) == (
+            "POST", "/cite", 200,
+        )
+
+    def test_nothing_encoded_without_info(self, client, encoded, caplog):
+        caplog.set_level(logging.WARNING, logger="repro.service")
+        assert client.cite(GPCR).status == 200
+        assert client.cite_batch([GPCR, VGIC]).status == 200
+        assert encoded == []
+        assert not [r for r in caplog.records if r.name == "repro.service"]
